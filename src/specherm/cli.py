@@ -25,7 +25,6 @@ from .schatten import (
     matched_system,
     random_smoothed_weight,
     sandwich_operator,
-    _mixed_norm_normalized,
 )
 from .singularity import default_config, h_kernel_rate, remainder_profile, write_probe_csv
 from .strichartz import CoefficientVector, SweepConfig, eigenfunction_system, strichartz_ratio, sweep
@@ -73,9 +72,9 @@ _DEFAULTS = {"n": 1, "kmax": 4, "grid_m": 48, "grid_l": None, "nt": 16, "seed": 
 _TYPES = {"n": int, "kmax": int, "grid_m": int, "grid_l": float, "nt": int, "seed": int, "fmt": str, "out": str}
 
 
-def resolve(config_path, **flags) -> dict:
-    """Merge defaults, config file, and explicit flags (strongest last)."""
-    merged = dict(_DEFAULTS, out=None)
+def resolve(config_path, defaults: dict | None = None, **flags) -> dict:
+    """Merge defaults, command defaults, config file, and explicit flags (strongest last)."""
+    merged = dict(_DEFAULTS, out=None, **(defaults or {}))
     if config_path:
         raw = _read_config(config_path)
         for key, value in raw.items():
@@ -213,7 +212,7 @@ def schatten_bound(config_path, out, fmt, trials, **flags):
     for k in range(trials):
         W = random_smoothed_weight(tg, grid, p["seed"] + k)
         num = sandwich_operator(W, A).schatten(4.0).norm
-        den = _mixed_norm_normalized(W, tg, grid, 4.0, 4.0) ** 2
+        den = mixed_norm(W, tg, grid, 4.0, 4.0, measure="dt/2pi") ** 2
         ratios.append(num / den)
     arr = np.array(ratios)
     run = CheckRun()
@@ -291,10 +290,9 @@ def strichartz_sweep(config_path, out, fmt, trials, **flags):
 @common_options
 def duality_cmd(config_path, out, fmt, trials, **flags):
     """Both sides of the sandwich/density duality on paired samples."""
-    p = resolve(config_path, out=out, fmt=fmt, **flags)
-    kmax = p["kmax"] if flags.get("kmax") is not None or config_path else 6
-    tr = enumerate_pairs(p["n"], kmax)
-    grid = make_grid(p["n"], p["grid_l"] or default_half_width(p["n"], kmax), p["grid_m"])
+    p = resolve(config_path, defaults={"kmax": 6}, out=out, fmt=fmt, **flags)
+    tr = enumerate_pairs(p["n"], p["kmax"])
+    grid = make_grid(p["n"], p["grid_l"] or default_half_width(p["n"], p["kmax"]), p["grid_m"])
     tg = make_time_grid(p["nt"])
     A = build_propagation_matrix(tr, tg, grid)
     weights, systems = [], []

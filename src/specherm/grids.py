@@ -160,10 +160,14 @@ def make_time_grid(n_t: int) -> TimeGrid:
     return TimeGrid(n_t=int(n_t))
 
 
-def mixed_norm(values: np.ndarray, tg: TimeGrid, grid: GridSpec, p: float, q: float) -> float:
+def mixed_norm(
+    values: np.ndarray, tg: TimeGrid, grid: GridSpec, p: float, q: float, measure: str = "dt"
+) -> float:
     """Space-time norm L^p_t L^q_z of time-indexed samples of shape (n_t, *grid.shape).
 
-    p and q may be inf; the inf cases are explicit branches rather than
+    ``measure`` is the measure on the time circle: the raw ``"dt"`` or the
+    normalized ``"dt/2pi"``, under which the circle has unit mass.  p and q
+    may be inf; the inf cases are explicit branches rather than
     large-exponent limits so golden values are bit-stable.
     """
     values = np.asarray(values)
@@ -171,12 +175,24 @@ def mixed_norm(values: np.ndarray, tg: TimeGrid, grid: GridSpec, p: float, q: fl
         raise ValueError(f"shape {values.shape} inconsistent with time/space grids")
     if p < 1 or q < 1:
         raise ValueError("exponents must be in [1, inf]")
-    spatial = np.array([lp_norm(Field(grid, values[a]), q) for a in range(tg.n_t)])
+    if measure not in ("dt", "dt/2pi"):
+        raise ValueError(f"unknown time measure {measure!r}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("field values must be finite")
+    a = np.abs(values).reshape(tg.n_t, -1)
+    w = grid.weight_tensor.ravel()
+    if math.isinf(q):
+        spatial = a.max(axis=1)
+    elif q == 1:
+        spatial = a @ w
+    else:
+        spatial = (a**q @ w) ** (1.0 / q)
+    tw = tg.weights if measure == "dt" else tg.weights / (2.0 * math.pi)
     if math.isinf(p):
         return float(spatial.max())
     if p == 1:
-        return float(np.sum(spatial * tg.weights))
-    return float(np.sum(spatial**p * tg.weights) ** (1.0 / p))
+        return float(np.sum(spatial * tw))
+    return float(np.sum(spatial**p * tw) ** (1.0 / p))
 
 
 @dataclass(frozen=True)

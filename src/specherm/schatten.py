@@ -16,7 +16,7 @@ import numpy as np
 from scipy import linalg
 from scipy.special import gamma as _gamma
 
-from .grids import Field, GridSpec, TimeGrid
+from .grids import Field, GridSpec, TimeGrid, mixed_norm
 from .indices import MultiIndex, MultiIndexPair, Truncation
 from .twisted import SpectralCoeffs, cached_basis
 
@@ -307,20 +307,6 @@ def sandwich_operator(w_samples: np.ndarray, A: PropagationMatrix) -> SandwichOp
     return SandwichOperator(factor=w.reshape(-1, 1) * A.matrix)
 
 
-def _mixed_norm_normalized(values: np.ndarray, tg: TimeGrid, grid: GridSpec, pt: float, pz: float) -> float:
-    """L^{pt}_t L^{pz}_z norm with the normalized circle measure dt/(2 pi)."""
-    spatial = np.array(
-        [
-            float(np.max(np.abs(v))) if math.isinf(pz)
-            else float(np.sum(np.abs(v) ** pz * grid.weight_tensor) ** (1.0 / pz))
-            for v in values
-        ]
-    )
-    if math.isinf(pt):
-        return float(spatial.max())
-    return float(np.mean(spatial**pt) ** (1.0 / pt))
-
-
 @dataclass
 class DualityReport:
     """Empirical constants for the two sides of the sandwich/density duality."""
@@ -364,7 +350,9 @@ def duality_check(
     sandwich_ratios = []
     skipped = 0
     for w in weights:
-        wn = _mixed_norm_normalized(np.asarray(w).reshape((tg.n_t,) + grid.shape), tg, grid, *w_exponents)
+        wn = mixed_norm(
+            np.asarray(w).reshape((tg.n_t,) + grid.shape), tg, grid, *w_exponents, measure="dt/2pi"
+        )
         if wn == 0.0:
             skipped += 1
             continue
@@ -378,7 +366,7 @@ def duality_check(
             continue
         fields = A.apply(coeffs)  # (n_t, *space, N) ... coeffs (n_pairs, N)
         dens = np.einsum("j,a...j->a...", nj, np.abs(fields) ** 2)
-        dn = _mixed_norm_normalized(dens, tg, grid, *density_exponents)
+        dn = mixed_norm(dens, tg, grid, *density_exponents, measure="dt/2pi")
         if math.isinf(alpha_dual):
             coeff_norm = float(np.max(np.abs(nj)))
         else:
@@ -409,23 +397,8 @@ def random_smoothed_weight(tg: TimeGrid, grid: GridSpec, seed: int) -> np.ndarra
     smooth = np.stack(
         [twisted_convolve(Field(grid, raw[a]), kernel).values for a in range(tg.n_t)]
     )
-    norm = _mixed_norm_normalized(smooth, tg, grid, 4.0, 4.0)
+    norm = mixed_norm(smooth, tg, grid, 4.0, 4.0, measure="dt/2pi")
     return smooth / norm
-
-
-def schatten_report_json(report: SchattenReport, operator: str, discretization: dict, seed=None, k: int = 8) -> str:
-    import json
-
-    return json.dumps(
-        {
-            "operator": operator,
-            "r": report.r,
-            "singular_values": [float(s) for s in report.singular_values[:k]],
-            "norm": report.norm,
-            "discretization": discretization,
-            "seed": seed,
-        }
-    )
 
 
 def matched_system(A: PropagationMatrix, w_samples: np.ndarray, alpha: float, n_modes: int | None = None):

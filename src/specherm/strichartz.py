@@ -85,12 +85,9 @@ def sample_orthonormal_system(tr: Truncation, N: int, seed: int) -> OrthonormalS
         raise ValueError(f"system size {N} exceeds truncation dimension {len(tr)}")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((len(tr), N)) + 1j * rng.standard_normal((len(tr), N))
-    # modified Gram-Schmidt: column k is orthogonalized against all previous
-    q = np.array(g, dtype=complex)
-    for k in range(N):
-        for j in range(k):
-            q[:, k] -= (q[:, j].conj() @ q[:, k]) * q[:, j]
-        q[:, k] /= linalg.norm(q[:, k])
+    # column k of Q is column k of g orthogonalized against the previous ones,
+    # up to a unit phase that no density sum_j n_j |u_j|^2 sees
+    q = linalg.qr(g, mode="economic")[0]
     return OrthonormalSystem(truncation=tr, coeffs=q, seed=seed)
 
 
@@ -107,7 +104,7 @@ def _evolved_samples(sys: OrthonormalSystem, tg: TimeGrid, grid: GridSpec) -> np
     lam = np.array(sys.truncation.eigenvalues(), dtype=float)
     phases = np.exp(-1j * np.outer(tg.nodes, lam))  # (n_t, n_pairs)
     rotated = phases[:, :, None] * sys.coeffs[None, :, :]  # (n_t, n_pairs, N)
-    vals = np.einsum("apj,pz->azj", rotated, basis)
+    vals = basis.T @ rotated  # one GEMM per time node
     return vals.reshape((tg.n_t,) + grid.shape + (sys.size,))
 
 
@@ -120,11 +117,11 @@ def density(
     """Pointwise density sum_j n_j |e^{-i t L} u_j|^2, shape (n_t, *grid.shape)."""
     if len(nj) != sys.size:
         raise ValueError("coefficient vector length differs from system size")
-    vals = _evolved_samples(sys, tg, grid)
-    out = np.einsum("j,a...j->a...", nj.values, np.abs(vals) ** 2)
-    if np.all(nj.values.imag == 0.0):
-        out = out.real
-    return out
+    weights = nj.values.real if np.all(nj.values.imag == 0.0) else nj.values
+    # |u|^2 = re^2 + im^2: square the interleaved parts in place, weight both by n_j
+    parts = _evolved_samples(sys, tg, grid).view(np.float64)
+    parts *= parts
+    return parts @ np.repeat(weights, 2)
 
 
 def strichartz_ratio(
@@ -224,8 +221,7 @@ def sweep(config: SweepConfig) -> SweepReport:
         for trial in range(config.trials):
             sys = sample_orthonormal_system(tr, N, seed=config.seed + 1000 * N + trial)
             nj = CoefficientVector(np.ones(N))
-            vals = _evolved_samples(sys, tg, grid)
-            dens = np.einsum("j,a...j->a...", nj.values, np.abs(vals) ** 2).real
+            dens = density(sys, nj, tg, grid)
             for q in config.q_values:
                 p = admissible_exponents(n, q)
                 pair = ExponentPair(p=p, q=q, n=n)

@@ -23,9 +23,12 @@ _BASIS_CACHE: dict = {}
 
 
 def cached_basis(tr: Truncation, grid: GridSpec, quad_order: int | None = None) -> np.ndarray:
+    """Sampled basis of ``basis_matrix``, shared by every caller and therefore read-only."""
     key = (tr, grid, quad_order)
     if key not in _BASIS_CACHE:
-        _BASIS_CACHE[key] = basis_matrix(tr, grid, quad_order)
+        basis = basis_matrix(tr, grid, quad_order)
+        basis.setflags(write=False)
+        _BASIS_CACHE[key] = basis
     return _BASIS_CACHE[key]
 
 

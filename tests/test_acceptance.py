@@ -32,7 +32,6 @@ from specherm.schatten import (
     matched_system,
     random_smoothed_weight,
     sandwich_operator,
-    _mixed_norm_normalized,
 )
 from specherm.singularity import abel_sum, default_config, h_kernel_rate, remainder_profile, singular_term
 from specherm.strichartz import (
@@ -203,7 +202,7 @@ def test_criterion_7_schatten_diagonal_bound():
         for seed in range(50):
             W = random_smoothed_weight(tg, grid, seed)
             num = sandwich_operator(W, A).schatten(4.0).norm
-            den = _mixed_norm_normalized(W, tg, grid, 4.0, 4.0) ** 2
+            den = mixed_norm(W, tg, grid, 4.0, 4.0, measure="dt/2pi") ** 2
             ratios.append(num / den)
         arr = np.array(ratios)
         maxima[M] = (float(arr.max()), float(arr.max() / np.median(arr)))

@@ -53,6 +53,19 @@ class TestConfigFile:
         result = runner.invoke(main, ["verify-kernel", "--config", str(cfg), "--kmax", "2", "--grid-m", "32"])
         assert result.exit_code == 0, result.output
 
+    def test_config_without_kmax_keeps_command_default(self, runner, tmp_path):
+        # duality-check defaults to kmax = 6; a config file that does not set
+        # kmax must not fall back to the common default of 4
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 0\n")
+        payloads = []
+        for extra in ([], ["--config", str(cfg)]):
+            out = tmp_path / f"duality{len(extra)}.json"
+            result = runner.invoke(main, ["duality-check", "--trials", "1", "--out", str(out), *extra])
+            assert result.exit_code == 0, result.output
+            payloads.append(json.loads(out.read_text()))
+        assert payloads[0] == payloads[1]
+
 
 class TestCommands:
     def test_verify_kernel_passes(self, runner):

@@ -131,6 +131,27 @@ class TestMixedNorm:
         with pytest.raises(ValueError):
             mixed_norm(np.ones((5,) + grid4.shape), tg, grid4, 2, 2)
 
+    def test_normalized_measure_rescales_time_norm(self, grid4):
+        rng = np.random.default_rng(6)
+        tg = make_time_grid(6)
+        F = rng.standard_normal((6,) + grid4.shape) + 1j * rng.standard_normal((6,) + grid4.shape)
+        for p, q in ((1.0, 2.0), (2.0, 1.0), (3.0, 4.0), (4.0, math.inf)):
+            raw = mixed_norm(F, tg, grid4, p, q)
+            normalized = mixed_norm(F, tg, grid4, p, q, measure="dt/2pi")
+            assert normalized == pytest.approx(raw * (2 * math.pi) ** (-1 / p), rel=1e-12)
+        for q in (2.0, math.inf):
+            assert mixed_norm(F, tg, grid4, math.inf, q, measure="dt/2pi") == mixed_norm(F, tg, grid4, math.inf, q)
+        with pytest.raises(ValueError):
+            mixed_norm(F, tg, grid4, 2, 2, measure="dt/pi")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_sample_rejected(self, grid4, bad):
+        tg = make_time_grid(6)
+        F = np.ones((6,) + grid4.shape)
+        F[3, 10, 20] = bad
+        with pytest.raises(ValueError, match="finite"):
+            mixed_norm(F, tg, grid4, 2, 2)
+
 
 class TestExponentPair:
     def test_on_line(self):

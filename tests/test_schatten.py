@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate
 from scipy.special import gamma
 
-from specherm.grids import make_grid, make_time_grid
+from specherm.grids import make_grid, make_time_grid, mixed_norm
 from specherm.indices import MultiIndex, MultiIndexPair, Truncation, enumerate_pairs
 from specherm.propagator import propagate
 from specherm.schatten import (
@@ -24,7 +24,6 @@ from specherm.schatten import (
     schatten_norm,
     surface_coefficients,
     t_z_schatten,
-    _mixed_norm_normalized,
 )
 from specherm.twisted import SpectralCoeffs, inverse_transform
 
@@ -286,7 +285,7 @@ class TestDuality:
         for seed in range(10):
             W = random_smoothed_weight(tg, grid, seed=seed)
             num = sandwich_operator(W, A).schatten(4.0).norm
-            den = _mixed_norm_normalized(W, tg, grid, 4.0, 4.0) ** 2
+            den = mixed_norm(W, tg, grid, 4.0, 4.0, measure="dt/2pi") ** 2
             ratios.append(num / den)
         r = np.array(ratios)
         assert np.all(np.isfinite(r))

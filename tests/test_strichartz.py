@@ -5,8 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
-from specherm.grids import make_grid, make_time_grid
+from specherm.grids import default_half_width, make_grid, make_time_grid
 from specherm.indices import enumerate_pairs
+from specherm.propagator import propagate
 from specherm.strichartz import (
     CoefficientVector,
     OrthonormalSystem,
@@ -19,6 +20,7 @@ from specherm.strichartz import (
     strichartz_ratio,
     sweep,
 )
+from specherm.twisted import SpectralCoeffs
 
 
 class TestAdmissibleExponents:
@@ -92,6 +94,30 @@ class TestDensity:
         sys = eigenfunction_system(tr4, 2)
         with pytest.raises(ValueError):
             density(sys, CoefficientVector([1.0]), tg16, grid4)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_matches_per_node_synthesis(self, n, tr4, grid4, tg16):
+        # oracle: each u_j propagated in coefficient space and synthesized
+        # node by node through inverse_transform
+        if n == 1:
+            tr, grid, tg = tr4, grid4, tg16
+        else:
+            tr = enumerate_pairs(2, 1)
+            grid = make_grid(2, default_half_width(2, 1), 10)
+            tg = make_time_grid(6)
+        N = 5
+        sys = sample_orthonormal_system(tr, N, seed=4)
+        nj = CoefficientVector([1.0, 0.5, 2.0, 0.25, 1.5])
+        want = np.stack([
+            sum(
+                nj.values[j].real * np.abs(propagate(SpectralCoeffs(tr, sys.coeffs[:, j]), t, grid=grid).values) ** 2
+                for j in range(N)
+            )
+            for t in tg.nodes
+        ])
+        got = density(sys, nj, tg, grid)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestStrichartzRatio:

@@ -90,6 +90,13 @@ class TestTransforms:
         c1 = forward_transform(f, tr4)
         assert np.abs(c1.coeffs - c0.coeffs).max() < 1e-6
 
+    def test_cached_basis_is_read_only(self, tr4, grid4):
+        before = cached_basis(tr4, grid4)[0].copy()
+        f = Field(grid4, cached_basis(tr4, grid4)[0])  # aliases the cache
+        with pytest.raises(ValueError):
+            f.values *= 0
+        np.testing.assert_array_equal(cached_basis(tr4, grid4)[0], before)
+
     def test_inverse_of_zero(self, tr4, grid4):
         c = SpectralCoeffs(tr4, np.zeros(len(tr4), dtype=complex))
         assert np.all(inverse_transform(c, grid4).values == 0.0)
