@@ -16,20 +16,13 @@ import click
 import numpy as np
 
 from . import __version__
-from .grids import default_half_width, make_grid, make_time_grid, mixed_norm
+from .grids import Field, default_half_width, lp_norm, make_grid, make_time_grid, mixed_norm
 from .indices import enumerate_pairs
 from .propagator import ComplexTime, evolve_kernel, evolve_spectral, mehler_kernel, propagate_coeffs
-from .schatten import (
-    build_propagation_matrix,
-    duality_check,
-    matched_system,
-    random_smoothed_weight,
-    sandwich_operator,
-)
+from .schatten import duality_check, matched_system, random_smoothed_weight, sandwich_schatten
 from .singularity import default_config, h_kernel_rate, remainder_profile, write_probe_csv
 from .strichartz import CoefficientVector, SweepConfig, eigenfunction_system, strichartz_ratio, sweep
-from .twisted import SpectralCoeffs, cached_basis, forward_transform, inverse_transform, apply_twisted_laplacian
-from .grids import Field, lp_norm
+from .twisted import SpectralCoeffs, apply_twisted_laplacian, cached_basis, inverse_transform
 
 
 def _read_config(path: str) -> dict:
@@ -133,9 +126,18 @@ def _write_payload(path, fmt, payload: dict):
                     fh.write(f"{key},{value}\n")
 
 
-def _grid(p):
-    L = p["grid_l"] if p["grid_l"] is not None else default_half_width(p["n"], p["kmax"])
-    return make_grid(p["n"], L, p["grid_m"])
+def _discretization(p):
+    """Truncation, spatial grid and time grid of the resolved flags.
+
+    Values the constructors reject (say an odd --grid-m, from a flag or a
+    config file) are usage errors, not failed checks.
+    """
+    try:
+        tr = enumerate_pairs(p["n"], p["kmax"])
+        L = p["grid_l"] if p["grid_l"] is not None else default_half_width(p["n"], p["kmax"])
+        return tr, make_grid(p["n"], L, p["grid_m"]), make_time_grid(p["nt"])
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
 
 
 @click.group()
@@ -149,8 +151,7 @@ def main():
 def verify_basis(config_path, out, fmt, **flags):
     """Orthonormality and eigenrelation of the truncated eigenbasis."""
     p = resolve(config_path, out=out, fmt=fmt, **flags)
-    tr = enumerate_pairs(p["n"], p["kmax"])
-    grid = _grid(p)
+    tr, grid, _ = _discretization(p)
     run = CheckRun()
     basis = cached_basis(tr, grid).reshape(len(tr), -1)
     w = grid.weight_tensor.ravel()
@@ -172,8 +173,7 @@ def verify_basis(config_path, out, fmt, **flags):
 def verify_kernel(config_path, out, fmt, **flags):
     """Closed-form kernel against the diagonal spectral propagator."""
     p = resolve(config_path, out=out, fmt=fmt, **flags)
-    tr = enumerate_pairs(p["n"], p["kmax"])
-    grid = _grid(p)
+    tr, grid, _ = _discretization(p)
     run = CheckRun()
     rng = np.random.default_rng(p["seed"])
     c = SpectralCoeffs(tr, rng.standard_normal(len(tr)) + 1j * rng.standard_normal(len(tr)))
@@ -199,19 +199,16 @@ def verify_kernel(config_path, out, fmt, **flags):
 
 
 @main.command("schatten-bound")
-@click.option("--trials", type=int, default=20, help="number of random weights")
+@click.option("--trials", type=click.IntRange(min=1), default=20, help="number of random weights")
 @common_options
 def schatten_bound(config_path, out, fmt, trials, **flags):
     """Schatten-4 bound for sandwiched projections over random weights."""
     p = resolve(config_path, out=out, fmt=fmt, **flags)
-    tr = enumerate_pairs(p["n"], p["kmax"])
-    grid = _grid(p)
-    tg = make_time_grid(p["nt"])
-    A = build_propagation_matrix(tr, tg, grid)
+    tr, grid, tg = _discretization(p)
     ratios = []
     for k in range(trials):
         W = random_smoothed_weight(tg, grid, p["seed"] + k)
-        num = sandwich_operator(W, A).schatten(4.0).norm
+        num = sandwich_schatten(W, tr, tg, grid, 4.0).norm
         den = mixed_norm(W, tg, grid, 4.0, 4.0, measure="dt/2pi") ** 2
         ratios.append(num / den)
     arr = np.array(ratios)
@@ -233,6 +230,7 @@ def schatten_bound(config_path, out, fmt, trials, **flags):
 def singularity_cmd(config_path, out, fmt, **flags):
     """Abel-regularized singularity expansion and kernel blow-up rates."""
     p = resolve(config_path, out=out, fmt=fmt, **flags)
+    _discretization(p)  # unused here, but invalid common flags are rejected as everywhere
     run = CheckRun()
     ts = tuple(np.linspace(0.2, math.pi - 0.2, 9))
     sup = {}
@@ -260,19 +258,17 @@ def singularity_cmd(config_path, out, fmt, **flags):
 
 
 @main.command("strichartz-sweep")
-@click.option("--trials", type=int, default=20, help="random systems per size")
+@click.option("--trials", type=click.IntRange(min=1), default=20, help="random systems per size")
 @common_options
 def strichartz_sweep(config_path, out, fmt, trials, **flags):
     """Mixed-norm quotient sweep over exponents, sizes, and random systems."""
     p = resolve(config_path, out=out, fmt=fmt, **flags)
-    tr = enumerate_pairs(p["n"], p["kmax"])
-    grid = _grid(p)
+    tr, grid, tg = _discretization(p)
     sizes = tuple(N for N in (1, 2, 4, 8, 16) if N <= len(tr))
     cfg = SweepConfig(truncation=tr, grid=grid, n_t=p["nt"], system_sizes=sizes, trials=trials, seed=p["seed"])
     report = sweep(cfg)
     run = CheckRun()
     run.check("ratios-finite", math.isfinite(report.max_ratio), f"max {report.max_ratio:.4f}")
-    tg = make_time_grid(p["nt"])
     r0 = strichartz_ratio(eigenfunction_system(tr, 1), CoefficientVector([1.0]), 2.0, 2.0, tg, grid)
     run.check("single-mode-closed-form", abs(r0 - 2**-0.5) <= 1e-3, f"ratio {r0:.6f}")
     run.check("growth-exponent", 0.6 <= report.growth_exponent <= 0.85, f"{report.growth_exponent:.4f}")
@@ -286,21 +282,18 @@ def strichartz_sweep(config_path, out, fmt, trials, **flags):
 
 
 @main.command("duality-check")
-@click.option("--trials", type=int, default=20, help="number of paired samples")
+@click.option("--trials", type=click.IntRange(min=1), default=20, help="number of paired samples")
 @common_options
 def duality_cmd(config_path, out, fmt, trials, **flags):
     """Both sides of the sandwich/density duality on paired samples."""
     p = resolve(config_path, defaults={"kmax": 6}, out=out, fmt=fmt, **flags)
-    tr = enumerate_pairs(p["n"], p["kmax"])
-    grid = make_grid(p["n"], p["grid_l"] or default_half_width(p["n"], p["kmax"]), p["grid_m"])
-    tg = make_time_grid(p["nt"])
-    A = build_propagation_matrix(tr, tg, grid)
+    tr, grid, tg = _discretization(p)
     weights, systems = [], []
     for k in range(trials):
         W = random_smoothed_weight(tg, grid, p["seed"] + k)
         weights.append(W)
-        systems.append(matched_system(A, W, alpha=4.0))
-    rep = duality_check(A, systems, weights, alpha=4.0, w_exponents=(4.0, 4.0), density_exponents=(2.0, 2.0))
+        systems.append(matched_system(tr, tg, grid, W, alpha=4.0))
+    rep = duality_check(tr, tg, grid, systems, weights, alpha=4.0, w_exponents=(4.0, 4.0), density_exponents=(2.0, 2.0))
     run = CheckRun()
     run.check("constants-finite", math.isfinite(rep.max_sandwich) and math.isfinite(rep.max_density),
               f"sandwich {rep.max_sandwich:.4f}, density {rep.max_density:.4f}")

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Field, GridSpec, sample_field
+from .grids import Field, GridSpec, TimeGrid, sample_field
 from .indices import Truncation
-from .twisted import SpectralCoeffs, forward_transform, inverse_transform, twisted_convolve
+from .twisted import SpectralCoeffs, cached_basis, forward_transform, inverse_transform, twisted_convolve
 
 _TWO_PI = 2.0 * math.pi
 
@@ -112,3 +112,19 @@ def propagate(u, t: float, tr: Truncation | None = None, grid: GridSpec | None =
         c = propagate_coeffs(u, t)
         return inverse_transform(c, grid) if grid is not None else c
     raise TypeError("u must be a Field or SpectralCoeffs")
+
+
+def propagate_samples(coeffs, tr: Truncation, tg: TimeGrid, grid: GridSpec) -> np.ndarray:
+    """Samples of e^{-i t L} u on the time-space grid: the time-grid form of ``propagate``.
+
+    ``coeffs`` holds the coefficients of u over ``tr``; a matrix with one
+    column per function gives a trailing function axis.  Returns shape
+    (n_t, *grid.shape) or (n_t, *grid.shape, N).
+    """
+    c = np.asarray(coeffs, dtype=complex)
+    basis = cached_basis(tr, grid).reshape(len(tr), -1)
+    lam = np.array(tr.eigenvalues(), dtype=float)
+    phases = np.exp(-1j * np.outer(tg.nodes, lam))  # (n_t, n_pairs)
+    rotated = phases[:, :, None] * c.reshape(len(tr), -1)[None, :, :]  # (n_t, n_pairs, N)
+    vals = basis.T @ rotated  # one GEMM per time node
+    return vals.reshape((tg.n_t,) + grid.shape + c.shape[1:])

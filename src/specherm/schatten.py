@@ -5,12 +5,15 @@ sample basis: a function F becomes the vector F(t_a, z_b) sqrt(w_a w_b),
 so multiplication operators are diagonal and adjoints are conjugate
 transposes.  The circle carries the normalized measure dt / (2 pi)
 throughout this module, which makes e^{-i lambda t} an orthonormal family
-and the propagation matrix an isometry.
+and the propagation frame A (columns e^{-i t lambda_p} Phi_p(z) sqrt(w_t w_z),
+one per basis pair) an isometry.  A itself is never formed: the sandwich,
+the matched systems and the duality check all read off the pairs x pairs
+weighted Gram K(W) = A* |W|^2 A.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
@@ -18,7 +21,9 @@ from scipy.special import gamma as _gamma
 
 from .grids import Field, GridSpec, TimeGrid, mixed_norm
 from .indices import MultiIndex, MultiIndexPair, Truncation
-from .twisted import SpectralCoeffs, cached_basis
+from .propagator import ComplexTime, mehler_kernel_field, propagate_samples
+from .strichartz import CoefficientVector, OrthonormalSystem, density
+from .twisted import SpectralCoeffs, cached_basis, twisted_convolve
 
 # relative floor under which singular values are treated as exact zeros:
 # rank-deficient sandwiches otherwise pollute trace-class sums with noise
@@ -53,15 +58,10 @@ class SchattenReport:
     shape: tuple[int, int]
 
 
-def _clamped_svals(s: np.ndarray) -> np.ndarray:
-    s = np.sort(np.abs(s))[::-1]
+def schatten_from_singular_values(s: np.ndarray, r: float, shape) -> SchattenReport:
+    s = np.sort(np.abs(np.asarray(s, dtype=float)))[::-1]
     if s.size and s[0] > 0:
         s = np.where(s < _SV_CLAMP * s[0], 0.0, s)
-    return s
-
-
-def schatten_from_singular_values(s: np.ndarray, r: float, shape) -> SchattenReport:
-    s = _clamped_svals(np.asarray(s, dtype=float))
     if math.isinf(r):
         norm = float(s[0]) if s.size else 0.0
     else:
@@ -83,67 +83,13 @@ def schatten_norm(T: np.ndarray, r: float) -> SchattenReport:
     return schatten_from_singular_values(s, r, T.shape)
 
 
-@dataclass
-class PropagationMatrix:
-    """Discretized propagator rows (t, z), columns basis pairs; an isometry.
-
-    Entries e^{-i t lambda} Phi_{mu nu}(z) sqrt(w_t w_z) with the normalized
-    circle measure, so the column Gram is the identity up to quadrature error.
-    """
-
-    truncation: Truncation
-    time_grid: TimeGrid
-    grid: GridSpec
-    matrix: np.ndarray = field(repr=False)
-
-    @property
-    def n_rows(self) -> int:
-        return self.matrix.shape[0]
-
-    def gram(self) -> np.ndarray:
-        return self.matrix.conj().T @ self.matrix
-
-    def apply(self, coeffs: np.ndarray) -> np.ndarray:
-        """Samples (unweighted) of the propagated functions.
-
-        A coefficient vector gives shape (n_t, *grid.shape); a matrix with
-        one column per function gives a trailing function axis.
-        """
-        c = np.asarray(coeffs, dtype=complex)
-        out = self.matrix @ c
-        sqrtw = self._sqrt_weights().ravel()
-        if c.ndim == 1:
-            return (out / sqrtw).reshape((self.time_grid.n_t,) + self.grid.shape)
-        return (out / sqrtw[:, None]).reshape((self.time_grid.n_t,) + self.grid.shape + (c.shape[1],))
-
-    def _sqrt_weights(self) -> np.ndarray:
-        wt = np.full(self.time_grid.n_t, 1.0 / self.time_grid.n_t)
-        wz = self.grid.weight_tensor.ravel()
-        return np.sqrt(np.outer(wt, wz))
-
-
-def build_propagation_matrix(tr: Truncation, tg: TimeGrid, grid: GridSpec) -> PropagationMatrix:
-    entries = tg.n_t * grid.size * len(tr)
-    if entries > _MAX_MATRIX_ENTRIES:
-        raise ValueError(f"propagation matrix would hold {entries} entries (limit {_MAX_MATRIX_ENTRIES})")
-    basis = cached_basis(tr, grid).reshape(len(tr), -1)
-    lam = np.array(tr.eigenvalues(), dtype=float)
-    phases = np.exp(-1j * np.outer(tg.nodes, lam))  # (n_t, n_pairs)
-    wt = np.full(tg.n_t, 1.0 / tg.n_t)
-    wz = grid.weight_tensor.ravel()
-    sqrtw = np.sqrt(np.outer(wt, wz))  # (n_t, n_space)
-    mat = np.einsum("ap,pz,az->azp", phases, basis, sqrtw).reshape(tg.n_t * grid.size, len(tr))
-    return PropagationMatrix(truncation=tr, time_grid=tg, grid=grid, matrix=mat)
-
-
 def extension_operator(fhat: dict, tg: TimeGrid, grid: GridSpec, tr: Truncation) -> np.ndarray:
     """Synthesis sum over surface triples: sum of fhat * Phi_{mu nu}(z) e^{-i lambda t}.
 
     ``fhat`` maps SurfacePoint (or (pair, lambda) tuples) to coefficients;
     off-surface support is rejected.  Returns samples of shape (n_t, *grid.shape).
     """
-    basis = cached_basis(tr, grid)
-    out = np.zeros((tg.n_t,) + grid.shape, dtype=complex)
+    coeffs = np.zeros(len(tr), dtype=complex)
     for key, value in fhat.items():
         if isinstance(key, SurfacePoint):
             pair, lam = MultiIndexPair(key.mu, key.nu), key.lam
@@ -151,9 +97,8 @@ def extension_operator(fhat: dict, tg: TimeGrid, grid: GridSpec, tr: Truncation)
             pair, lam = key
         if lam != pair.eigenvalue():
             raise ValueError(f"triple {(pair.mu, pair.nu, lam)} lies off the spectral surface")
-        i = tr.position(pair)
-        out += value * np.exp(-1j * lam * tg.nodes).reshape((-1,) + (1,) * len(grid.shape)) * basis[i]
-    return out
+        coeffs[tr.position(pair)] += value
+    return propagate_samples(coeffs, tr, tg, grid)
 
 
 def surface_coefficients(u_hat: SpectralCoeffs) -> dict:
@@ -187,12 +132,15 @@ def default_lambda_cut(tr: Truncation) -> int:
     return 2 * tr.k_max + tr.n + 8
 
 
+def _sqrt_weights(tg: TimeGrid, grid: GridSpec) -> np.ndarray:
+    """sqrt(w_t w_z) of the weighted sample basis, shape (n_t, n_space)."""
+    return np.sqrt(np.outer(np.full(tg.n_t, 1.0 / tg.n_t), grid.weight_tensor.ravel()))
+
+
 def _fourier_frame(tr: Truncation, tg: TimeGrid, grid: GridSpec, lams: np.ndarray) -> np.ndarray:
     """Columns Phi_{mu nu}(z) e^{-i lambda t} sqrt(w_t w_z): orthonormal when n_t > 2 max|lambda|."""
     basis = cached_basis(tr, grid).reshape(len(tr), -1)
-    wt = np.full(tg.n_t, 1.0 / tg.n_t)
-    wz = grid.weight_tensor.ravel()
-    sqrtw = np.sqrt(np.outer(wt, wz))  # (n_t, n_space)
+    sqrtw = _sqrt_weights(tg, grid)  # (n_t, n_space)
     phases = np.exp(-1j * np.outer(tg.nodes, lams))  # (n_t, n_lam)
     cols = np.einsum("al,pz,az->azpl", phases, basis, sqrtw)
     return cols.reshape(tg.n_t * grid.size, len(tr) * len(lams))
@@ -254,57 +202,46 @@ def t_z_schatten(z: complex, tr: Truncation, tg: TimeGrid, grid: GridSpec, r: fl
 
 
 def extension_gram_matrix(tr: Truncation, tg: TimeGrid, grid: GridSpec) -> np.ndarray:
-    """E_S E_S* assembled directly from the extension operator's surface frame."""
+    """E_S E_S* as F F^H, F the sqrt(w_t w_z)-weighted synthesis of every basis pair."""
     rows = tg.n_t * grid.size
     if rows * rows > _MAX_MATRIX_ENTRIES:
         raise ValueError(f"dense operator would hold {rows * rows} entries (limit {_MAX_MATRIX_ENTRIES})")
-    lams = np.array(sorted({p.eigenvalue() for p in tr.index_set}))
-    frame = _fourier_frame(tr, tg, grid, lams)
-    mask = np.array(
-        [1.0 if p.eigenvalue() == lam else 0.0 for p in tr.index_set for lam in lams]
-    )
-    cols = frame[:, mask > 0]
-    return cols @ cols.conj().T
+    F = propagate_samples(np.eye(len(tr)), tr, tg, grid).reshape(rows, len(tr))
+    F *= _sqrt_weights(tg, grid).reshape(rows, 1)
+    return F @ F.conj().T
 
 
-@dataclass
-class SandwichOperator:
-    """The operator W (A A*) conj(W), held in factored form X X^H, X = diag(W) A.
+def weighted_gram(w_samples: np.ndarray, tr: Truncation, tg: TimeGrid, grid: GridSpec) -> np.ndarray:
+    """K(W) = A* |W|^2 A, the pairs x pairs Gram of the propagation frame weighted by |W|^2.
+
+    ``w_samples`` has shape (n_t, *grid.shape).  Each time node contributes
+    its weighted spatial Gram conj(B) diag(w_z |W_a|^2 / n_t) B^T, rotated by
+    the phases e^{i t_a (lambda_p - lambda_q)}; the frame A is never formed.
+    """
+    w = np.asarray(w_samples)
+    if w.shape != (tg.n_t,) + grid.shape:
+        raise ValueError("weight samples inconsistent with the time and space grids")
+    basis = cached_basis(tr, grid).reshape(len(tr), -1)
+    bconj = basis.conj()
+    lam = np.array(tr.eigenvalues(), dtype=float)
+    w2 = np.abs(w.reshape(tg.n_t, -1)) ** 2 * (grid.weight_tensor.ravel() / tg.n_t)
+    K = np.zeros((len(tr), len(tr)), dtype=complex)
+    for t, w2a in zip(tg.nodes, w2):
+        phase = np.exp(1j * t * lam)
+        K += np.outer(phase, phase.conj()) * ((bconj * w2a) @ basis.T)
+    return K
+
+
+def sandwich_schatten(w_samples: np.ndarray, tr: Truncation, tg: TimeGrid, grid: GridSpec, r: float) -> SchattenReport:
+    """Schatten r-norm of the sandwich W (A A*) conj(W) on the time-space samples.
 
     The conjugate in the second multiplier makes the sandwich positive
-    semidefinite; its singular values are the squared singular values of X.
+    semidefinite; its nonzero eigenvalues, hence its singular values, are
+    those of K(W) = A* |W|^2 A.
     """
-
-    factor: np.ndarray = field(repr=False)
-
-    def singular_values(self) -> np.ndarray:
-        return _clamped_svals(linalg.svdvals(self.factor) ** 2)
-
-    def schatten(self, r: float) -> SchattenReport:
-        n = self.factor.shape[0]
-        return schatten_from_singular_values(self.singular_values(), r, (n, n))
-
-    def rank(self, tol: float = 1e-8) -> int:
-        s = self.singular_values()
-        return int(np.sum(s > tol * (s[0] if s.size and s[0] > 0 else 1.0)))
-
-    def matrix(self) -> np.ndarray:
-        n = self.factor.shape[0]
-        if n * n > _MAX_MATRIX_ENTRIES:
-            raise ValueError("dense sandwich too large; use the factored accessors")
-        return self.factor @ self.factor.conj().T
-
-
-def sandwich_operator(w_samples: np.ndarray, A: PropagationMatrix) -> SandwichOperator:
-    """Sandwich a multiplication weight around A A*.
-
-    ``w_samples`` has shape (n_t, *grid.shape); in the weighted sample basis
-    multiplication by W is diagonal, so the factor is diag(W) A.
-    """
-    w = np.asarray(w_samples, dtype=complex)
-    if w.shape != (A.time_grid.n_t,) + A.grid.shape:
-        raise ValueError("weight samples inconsistent with the operator's grids")
-    return SandwichOperator(factor=w.reshape(-1, 1) * A.matrix)
+    rows = tg.n_t * grid.size
+    K = weighted_gram(w_samples, tr, tg, grid)
+    return schatten_from_singular_values(linalg.eigvalsh(K), r, (rows, rows))
 
 
 @dataclass
@@ -327,7 +264,9 @@ class DualityReport:
 
 
 def duality_check(
-    A: PropagationMatrix,
+    tr: Truncation,
+    tg: TimeGrid,
+    grid: GridSpec,
     systems: list[tuple[np.ndarray, np.ndarray]],
     weights: list[np.ndarray],
     alpha: float,
@@ -340,38 +279,29 @@ def duality_check(
     ``weights`` holds sampled multiplication weights on the time-space grid.
     For each weight the Schatten-alpha norm of the sandwich is compared with
     the squared mixed norm of W; for each system the mixed norm of the
-    density sum n_j |A u_j|^2 is compared with the dual-exponent coefficient
-    norm.  Degenerate (zero) samples are skipped and counted.
+    density sum n_j |e^{-i t L} u_j|^2 is compared with the dual-exponent
+    coefficient norm.  Degenerate (zero) samples are skipped and counted.
     """
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
     alpha_dual = math.inf if alpha == 1 else alpha / (alpha - 1)
-    tg, grid = A.time_grid, A.grid
     sandwich_ratios = []
     skipped = 0
     for w in weights:
-        wn = mixed_norm(
-            np.asarray(w).reshape((tg.n_t,) + grid.shape), tg, grid, *w_exponents, measure="dt/2pi"
-        )
+        wn = mixed_norm(w, tg, grid, *w_exponents, measure="dt/2pi")
         if wn == 0.0:
             skipped += 1
             continue
-        rep = sandwich_operator(w, A).schatten(alpha)
-        sandwich_ratios.append(rep.norm / wn**2)
+        sandwich_ratios.append(sandwich_schatten(w, tr, tg, grid, alpha).norm / wn**2)
     density_ratios = []
     for coeffs, nj in systems:
         nj = np.asarray(nj, dtype=complex)
         if not np.any(nj):
             skipped += 1
             continue
-        fields = A.apply(coeffs)  # (n_t, *space, N) ... coeffs (n_pairs, N)
-        dens = np.einsum("j,a...j->a...", nj, np.abs(fields) ** 2)
+        dens = density(OrthonormalSystem(tr, coeffs), CoefficientVector(nj), tg, grid)
         dn = mixed_norm(dens, tg, grid, *density_exponents, measure="dt/2pi")
-        if math.isinf(alpha_dual):
-            coeff_norm = float(np.max(np.abs(nj)))
-        else:
-            coeff_norm = float(np.sum(np.abs(nj) ** alpha_dual) ** (1.0 / alpha_dual))
-        density_ratios.append(dn / coeff_norm)
+        density_ratios.append(dn / float(np.linalg.norm(nj, ord=alpha_dual)))
     return DualityReport(
         alpha=alpha,
         alpha_dual=alpha_dual,
@@ -388,9 +318,6 @@ def random_smoothed_weight(tg: TimeGrid, grid: GridSpec, seed: int) -> np.ndarra
     application of the semigroup (via its closed-form kernel), then the
     whole field is normalized to unit L^4 norm on the product measure.
     """
-    from .propagator import ComplexTime, mehler_kernel_field
-    from .twisted import twisted_convolve
-
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((tg.n_t,) + grid.shape) + 1j * rng.standard_normal((tg.n_t,) + grid.shape)
     kernel = mehler_kernel_field(ComplexTime(0.2, 0.0), grid)
@@ -401,15 +328,13 @@ def random_smoothed_weight(tg: TimeGrid, grid: GridSpec, seed: int) -> np.ndarra
     return smooth / norm
 
 
-def matched_system(A: PropagationMatrix, w_samples: np.ndarray, alpha: float, n_modes: int | None = None):
-    """System adapted to a weight: eigenvectors of A* |W|^2 A with the dual-optimal n_j.
+def matched_system(tr: Truncation, tg: TimeGrid, grid: GridSpec, w_samples: np.ndarray, alpha: float, n_modes: int | None = None):
+    """System adapted to a weight: eigenvectors of K(W) = A* |W|^2 A with the dual-optimal n_j.
 
     Pairing the density against |W|^2 then saturates the Schatten bound, so
     the two duality constants can be compared without a search.
     """
-    w2 = np.abs(np.asarray(w_samples).reshape(-1)) ** 2
-    K = A.matrix.conj().T @ (w2[:, None] * A.matrix)
-    evals, evecs = linalg.eigh(K)
+    evals, evecs = linalg.eigh(weighted_gram(w_samples, tr, tg, grid))
     order = np.argsort(evals)[::-1]
     evals, evecs = np.maximum(evals[order], 0.0), evecs[:, order]
     if n_modes is not None:

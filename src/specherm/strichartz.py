@@ -19,7 +19,7 @@ from scipy import linalg
 
 from .grids import ExponentPair, GridSpec, TimeGrid, make_time_grid, mixed_norm
 from .indices import Truncation
-from .twisted import cached_basis
+from .propagator import propagate_samples
 
 
 def admissible_exponents(n: int, q: float) -> float:
@@ -98,16 +98,6 @@ def eigenfunction_system(tr: Truncation, N: int) -> OrthonormalSystem:
     return OrthonormalSystem(truncation=tr, coeffs=np.eye(len(tr), N, dtype=complex))
 
 
-def _evolved_samples(sys: OrthonormalSystem, tg: TimeGrid, grid: GridSpec) -> np.ndarray:
-    """Samples e^{-i t L} u_j on the time-space grid, shape (n_t, *space, N)."""
-    basis = cached_basis(sys.truncation, grid).reshape(len(sys.truncation), -1)
-    lam = np.array(sys.truncation.eigenvalues(), dtype=float)
-    phases = np.exp(-1j * np.outer(tg.nodes, lam))  # (n_t, n_pairs)
-    rotated = phases[:, :, None] * sys.coeffs[None, :, :]  # (n_t, n_pairs, N)
-    vals = basis.T @ rotated  # one GEMM per time node
-    return vals.reshape((tg.n_t,) + grid.shape + (sys.size,))
-
-
 def density(
     sys: OrthonormalSystem,
     nj: CoefficientVector,
@@ -119,7 +109,7 @@ def density(
         raise ValueError("coefficient vector length differs from system size")
     weights = nj.values.real if np.all(nj.values.imag == 0.0) else nj.values
     # |u|^2 = re^2 + im^2: square the interleaved parts in place, weight both by n_j
-    parts = _evolved_samples(sys, tg, grid).view(np.float64)
+    parts = propagate_samples(sys.coeffs, sys.truncation, tg, grid).view(np.float64)
     parts *= parts
     return parts @ np.repeat(weights, 2)
 

@@ -23,7 +23,6 @@ from specherm.grids import (
 from specherm.indices import MultiIndex, MultiIndexPair, enumerate_pairs
 from specherm.propagator import ComplexTime, evolve_kernel, evolve_spectral, mehler_kernel, propagate_coeffs
 from specherm.schatten import (
-    build_propagation_matrix,
     build_t_z,
     default_lambda_cut,
     duality_check,
@@ -31,7 +30,7 @@ from specherm.schatten import (
     g_z_weight,
     matched_system,
     random_smoothed_weight,
-    sandwich_operator,
+    sandwich_schatten,
 )
 from specherm.singularity import abel_sum, default_config, h_kernel_rate, remainder_profile, singular_term
 from specherm.strichartz import (
@@ -197,11 +196,10 @@ def test_criterion_7_schatten_diagonal_bound():
     maxima = {}
     for M in (48, 64):
         grid = make_grid(1, default_half_width(1, 4), M)
-        A = build_propagation_matrix(tr, tg, grid)
         ratios = []
         for seed in range(50):
             W = random_smoothed_weight(tg, grid, seed)
-            num = sandwich_operator(W, A).schatten(4.0).norm
+            num = sandwich_schatten(W, tr, tg, grid, 4.0).norm
             den = mixed_norm(W, tg, grid, 4.0, 4.0, measure="dt/2pi") ** 2
             ratios.append(num / den)
         arr = np.array(ratios)
@@ -262,13 +260,12 @@ def test_criterion_10_duality_principle():
     tr = enumerate_pairs(1, 6)
     tg = make_time_grid(16)
     grid = make_grid(1, default_half_width(1, 6), 48)
-    A = build_propagation_matrix(tr, tg, grid)
     weights, systems = [], []
     for seed in range(20):
         W = random_smoothed_weight(tg, grid, seed)
         weights.append(W)
-        systems.append(matched_system(A, W, alpha=4.0))
-    rep = duality_check(A, systems, weights, alpha=4.0, w_exponents=(4.0, 4.0), density_exponents=(2.0, 2.0))
+        systems.append(matched_system(tr, tg, grid, W, alpha=4.0))
+    rep = duality_check(tr, tg, grid, systems, weights, alpha=4.0, w_exponents=(4.0, 4.0), density_exponents=(2.0, 2.0))
     finite = math.isfinite(rep.max_sandwich) and math.isfinite(rep.max_density)
     factor = max(rep.max_sandwich, rep.max_density) / min(rep.max_sandwich, rep.max_density)
     report(

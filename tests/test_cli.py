@@ -27,6 +27,24 @@ class TestUsage:
         result = runner.invoke(main, ["verify-kernel", "--format", "xml"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("args", [
+        ["verify-kernel", "--grid-m", "9"],
+        ["verify-kernel", "--grid-l", "-1"],
+        ["verify-kernel", "--kmax", "-1"],
+        ["verify-kernel", "--n", "0"],
+        ["schatten-bound", "--nt", "0"],
+        ["schatten-bound", "--trials", "0"],
+        ["duality-check", "--trials", "0"],
+        ["duality-check", "--grid-l", "0"],
+        ["strichartz-sweep", "--trials", "0"],
+        ["singularity", "--n", "0"],
+    ])
+    def test_invalid_value_is_usage_error(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+
 
 class TestConfigFile:
     def test_config_supplies_flags(self, runner, tmp_path):
@@ -46,6 +64,14 @@ class TestConfigFile:
         cfg.write_text("kmax\n")
         result = runner.invoke(main, ["verify-kernel", "--config", str(cfg)])
         assert result.exit_code == 2
+
+    def test_invalid_value_is_usage_error(self, runner, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("grid-m = 9\n")
+        result = runner.invoke(main, ["verify-kernel", "--config", str(cfg)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
 
     def test_flag_overrides_config(self, runner, tmp_path):
         cfg = tmp_path / "run.cfg"

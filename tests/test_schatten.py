@@ -2,16 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import integrate, linalg
 from scipy.special import gamma
 
-from specherm.grids import make_grid, make_time_grid, mixed_norm
+from specherm.grids import default_half_width, make_grid, make_time_grid, mixed_norm
 from specherm.indices import MultiIndex, MultiIndexPair, Truncation, enumerate_pairs
-from specherm.propagator import propagate
+from specherm.propagator import propagate, propagate_samples
 from specherm.schatten import (
-    PropagationMatrix,
+    _SV_CLAMP,
     SurfacePoint,
-    build_propagation_matrix,
     build_t_z,
     default_lambda_cut,
     duality_check,
@@ -20,10 +21,11 @@ from specherm.schatten import (
     g_z_weight,
     matched_system,
     random_smoothed_weight,
-    sandwich_operator,
+    sandwich_schatten,
     schatten_norm,
     surface_coefficients,
     t_z_schatten,
+    weighted_gram,
 )
 from specherm.twisted import SpectralCoeffs, inverse_transform
 
@@ -41,9 +43,32 @@ def small_setup():
 
 
 @pytest.fixture(scope="module")
-def A(small_setup):
-    tr, tg, grid = small_setup
-    return build_propagation_matrix(tr, tg, grid)
+def n2_setup():
+    tr = enumerate_pairs(2, 1)
+    grid = make_grid(2, default_half_width(2, 1), 10)
+    tg = make_time_grid(6)
+    return tr, tg, grid
+
+
+def dense_frame(tr, tg, grid):
+    """The propagation frame A, rows (t, z) and one column per pair, from ``propagate``.
+
+    Column p holds e^{-i t L} Phi_p sampled at every node, times sqrt(w_t w_z)
+    under the normalized circle measure: the reference that K(W) = A* |W|^2 A
+    must match without forming it.
+    """
+    sqrtw = np.sqrt(np.outer(np.full(tg.n_t, 1.0 / tg.n_t), grid.weight_tensor.ravel())).ravel()
+    cols = []
+    for e in np.eye(len(tr), dtype=complex):
+        c = SpectralCoeffs(tr, e)
+        cols.append(np.concatenate([propagate(c, float(t), grid=grid).values.ravel() for t in tg.nodes]))
+    return np.stack(cols, axis=1) * sqrtw[:, None]
+
+
+def gaussian_weight(tg, grid, seed):
+    rng = np.random.default_rng(seed)
+    shape = (tg.n_t,) + grid.shape
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 class TestSchattenNorm:
@@ -86,32 +111,64 @@ class TestSurfacePoint:
 
 
 class TestPropagationMatrix:
-    def test_columns_orthonormal(self, A, small_setup):
-        tr, _, _ = small_setup
-        err = np.abs(A.gram() - np.eye(len(tr))).max()
+    """The propagation frame A, seen through K(1) = A*A and the time-grid synthesis."""
+
+    def test_columns_orthonormal(self, small_setup):
+        tr, tg, grid = small_setup
+        K = weighted_gram(np.ones((tg.n_t,) + grid.shape), tr, tg, grid)
+        err = np.abs(K - np.eye(len(tr))).max()
         assert err < 1e-5
 
     def test_single_pair_unit_column(self, small_setup):
         _, tg, grid = small_setup
         tr1 = Truncation(1, 0, (pair(0, 0),))
-        A1 = build_propagation_matrix(tr1, tg, grid)
-        assert A1.matrix.shape[1] == 1
-        assert np.linalg.norm(A1.matrix[:, 0]) == pytest.approx(1.0, abs=1e-6)
+        K = weighted_gram(np.ones((tg.n_t,) + grid.shape), tr1, tg, grid)
+        assert K.shape == (1, 1)
+        assert math.sqrt(K[0, 0].real) == pytest.approx(1.0, abs=1e-6)
 
-    def test_matches_propagator_on_basis_vector(self, A, small_setup):
+    def test_matches_propagator_on_basis_vector(self, small_setup):
         tr, tg, grid = small_setup
         e0 = np.zeros(len(tr))
         e0[0] = 1.0
-        samples = A.apply(e0)
+        samples = propagate_samples(e0, tr, tg, grid)
+        assert samples.shape == (tg.n_t,) + grid.shape
         c = SpectralCoeffs(tr, e0.astype(complex))
         for a in (0, tg.n_t // 2):
             want = propagate(c, float(tg.nodes[a]), grid=grid).values
             assert np.abs(samples[a] - want).max() < 1e-8
 
-    def test_size_guard(self):
-        tr = enumerate_pairs(1, 8)
-        with pytest.raises(ValueError):
-            build_propagation_matrix(tr, make_time_grid(64), make_grid(1, 10.0, 64))
+    def test_function_axis_matches_columns(self, small_setup):
+        tr, tg, grid = small_setup
+        rng = np.random.default_rng(6)
+        coeffs = rng.standard_normal((len(tr), 3)) + 1j * rng.standard_normal((len(tr), 3))
+        samples = propagate_samples(coeffs, tr, tg, grid)
+        assert samples.shape == (tg.n_t,) + grid.shape + (3,)
+        for j in range(3):
+            assert np.abs(samples[..., j] - propagate_samples(coeffs[:, j], tr, tg, grid)).max() < 1e-13
+
+
+class TestWeightedGram:
+    @pytest.mark.parametrize("setup", ["small_setup", "n2_setup"])
+    def test_matches_dense_frame(self, setup, request):
+        tr, tg, grid = request.getfixturevalue(setup)
+        W = gaussian_weight(tg, grid, seed=7)
+        A = dense_frame(tr, tg, grid)
+        want = A.conj().T @ (np.abs(W.reshape(-1, 1)) ** 2 * A)
+        got = weighted_gram(W, tr, tg, grid)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("setup", ["small_setup", "n2_setup"])
+    def test_sandwich_spectrum_matches_factor_svd(self, setup, request):
+        # the sandwich W A A* conj(W) = X X^H with X = diag(W) A: its singular
+        # values are those of X, squared
+        tr, tg, grid = request.getfixturevalue(setup)
+        W = gaussian_weight(tg, grid, seed=8)
+        X = W.reshape(-1, 1) * dense_frame(tr, tg, grid)
+        want = linalg.svdvals(X) ** 2
+        got = sandwich_schatten(W, tr, tg, grid, 4.0).singular_values
+        kept = want > _SV_CLAMP * want[0]
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got[kept], want[kept], rtol=1e-10)
 
 
 class TestExtensionOperator:
@@ -132,6 +189,13 @@ class TestExtensionOperator:
         tr, tg, grid = small_setup
         with pytest.raises(ValueError):
             extension_operator({SurfacePoint(MultiIndex((0,)), MultiIndex((0,)), 2): 1.0}, tg, grid, tr)
+
+    def test_same_pair_values_summed(self, small_setup):
+        tr, tg, grid = small_setup
+        p00 = pair(0, 0)
+        both = {SurfacePoint(p00.mu, p00.nu, 1): 1.0, (p00, 1): 2.0}
+        once = extension_operator({(p00, 1): 1.0}, tg, grid, tr)
+        assert np.abs(extension_operator(both, tg, grid, tr) - 3.0 * once).max() < 1e-13
 
     def test_reproduces_scaled_propagation(self, small_setup):
         tr, tg, grid = small_setup
@@ -220,71 +284,107 @@ class TestBuildTz:
 
 
 class TestSandwich:
-    def test_unit_weight_gives_projector_spectrum(self, A, small_setup):
+    def test_unit_weight_gives_projector_spectrum(self, small_setup):
         tr, tg, grid = small_setup
         W = np.ones((tg.n_t,) + grid.shape)
-        s = sandwich_operator(W, A).singular_values()
-        assert np.abs(s[: len(tr)] - 1.0).max() < 1e-5
-        assert np.abs(s[len(tr) :]).max() < 1e-5 if s.size > len(tr) else True
+        s = sandwich_schatten(W, tr, tg, grid, math.inf).singular_values
+        assert s.size == len(tr)
+        assert np.abs(s - 1.0).max() < 1e-5
 
-    def test_zero_weight(self, A, small_setup):
-        _, tg, grid = small_setup
-        s = sandwich_operator(np.zeros((tg.n_t,) + grid.shape), A).singular_values()
+    def test_zero_weight(self, small_setup):
+        tr, tg, grid = small_setup
+        s = sandwich_schatten(np.zeros((tg.n_t,) + grid.shape), tr, tg, grid, 4.0).singular_values
         assert np.all(s == 0.0)
 
-    def test_rank_bounded_by_truncation(self, A, small_setup):
+    def test_positive_semidefinite(self, small_setup):
         tr, tg, grid = small_setup
-        W = random_smoothed_weight(tg, grid, seed=0)
-        assert sandwich_operator(W, A).rank() <= len(tr)
-
-    def test_positive_semidefinite(self, A, small_setup):
-        _, tg, grid = small_setup
         W = random_smoothed_weight(tg, grid, seed=1)
-        sw = sandwich_operator(W, A)
-        X = sw.factor
-        K = X.conj().T @ X  # same nonzero spectrum as the sandwich
+        K = weighted_gram(W, tr, tg, grid)  # same nonzero spectrum as the sandwich
         evals = np.linalg.eigvalsh(K)
         assert evals.min() >= -1e-8 * evals.max()
 
-    def test_shape_mismatch(self, A, small_setup):
-        _, tg, grid = small_setup
+    def test_shape_mismatch(self, small_setup):
+        tr, tg, grid = small_setup
         with pytest.raises(ValueError):
-            sandwich_operator(np.ones((tg.n_t + 1,) + grid.shape), A)
+            weighted_gram(np.ones((tg.n_t + 1,) + grid.shape), tr, tg, grid)
+        with pytest.raises(ValueError):
+            sandwich_schatten(np.ones((tg.n_t,) + grid.shape)[..., :-1], tr, tg, grid, 4.0)
+
+
+_PROPERTY_SETUP = (enumerate_pairs(1, 2), make_time_grid(6), make_grid(1, 9.2, 32))
+
+
+class TestGramProperties:
+    weights = st.integers(0, 2**16).map(lambda seed: random_smoothed_weight(*_PROPERTY_SETUP[1:], seed))
+    scalars = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+
+    @settings(max_examples=15, deadline=None)
+    @given(W=weights)
+    def test_hermitian_positive_semidefinite(self, W):
+        K = weighted_gram(W, *_PROPERTY_SETUP)
+        evals = np.linalg.eigvalsh(K)
+        top = np.abs(evals).max()
+        assert np.abs(K - K.conj().T).max() <= 1e-12 * top
+        assert evals.min() >= -1e-12 * top
+
+    @settings(max_examples=15, deadline=None)
+    @given(W=weights, c=scalars)
+    def test_quadratic_in_weight(self, W, c):
+        K = weighted_gram(W, *_PROPERTY_SETUP)
+        Kc = weighted_gram(c * W, *_PROPERTY_SETUP)
+        assert np.abs(Kc - abs(c) ** 2 * K).max() <= 1e-12 * abs(c) ** 2 * np.abs(K).max()
+
+    @settings(max_examples=15, deadline=None)
+    @given(W=weights)
+    def test_schatten_norm_nonincreasing_in_r(self, W):
+        norms = [sandwich_schatten(W, *_PROPERTY_SETUP, r).norm for r in (1.0, 2.0, 4.0, math.inf)]
+        assert all(b <= a * (1 + 1e-12) for a, b in zip(norms, norms[1:]))
 
 
 class TestDuality:
-    def test_single_function_ratios_positive(self, A, small_setup):
+    def test_single_function_ratios_positive(self, small_setup):
         tr, tg, grid = small_setup
         W = random_smoothed_weight(tg, grid, seed=2)
         coeffs = np.zeros((len(tr), 1), dtype=complex)
         coeffs[0, 0] = 1.0
-        rep = duality_check(A, [(coeffs, np.array([1.0]))], [W], alpha=4.0,
+        rep = duality_check(tr, tg, grid, [(coeffs, np.array([1.0]))], [W], alpha=4.0,
                             w_exponents=(4.0, 4.0), density_exponents=(2.0, 2.0))
         assert rep.max_sandwich > 0 and math.isfinite(rep.max_sandwich)
         assert rep.max_density > 0 and math.isfinite(rep.max_density)
 
-    def test_density_side_homogeneity(self, A, small_setup):
+    def test_density_side_homogeneity(self, small_setup):
         tr, tg, grid = small_setup
-        coeffs, nj = matched_system(A, random_smoothed_weight(tg, grid, seed=3), alpha=4.0, n_modes=4)
-        rep1 = duality_check(A, [(coeffs, nj)], [], 4.0, (4.0, 4.0), (2.0, 2.0))
-        rep2 = duality_check(A, [(coeffs, 2.0 * nj)], [], 4.0, (4.0, 4.0), (2.0, 2.0))
+        W = random_smoothed_weight(tg, grid, seed=3)
+        coeffs, nj = matched_system(tr, tg, grid, W, alpha=4.0, n_modes=4)
+        rep1 = duality_check(tr, tg, grid, [(coeffs, nj)], [], 4.0, (4.0, 4.0), (2.0, 2.0))
+        rep2 = duality_check(tr, tg, grid, [(coeffs, 2.0 * nj)], [], 4.0, (4.0, 4.0), (2.0, 2.0))
         # doubling all n_j doubles both sides of the density inequality
         assert rep2.density_ratios[0] == pytest.approx(rep1.density_ratios[0], rel=1e-10)
 
-    def test_degenerate_samples_skipped(self, A, small_setup):
+    def test_matched_system_diagonalizes_gram(self, small_setup):
+        tr, tg, grid = small_setup
+        W = random_smoothed_weight(tg, grid, seed=4)
+        coeffs, nj = matched_system(tr, tg, grid, W, alpha=4.0)
+        K = weighted_gram(W, tr, tg, grid)
+        evals = nj ** (1.0 / 3.0)  # n_j = eigenvalue^(alpha - 1)
+        assert np.abs(coeffs.conj().T @ coeffs - np.eye(len(nj))).max() < 1e-12
+        assert np.abs(K @ coeffs - coeffs * evals).max() < 1e-12 * evals.max()
+        assert np.all(np.diff(evals) <= 0)
+
+    def test_degenerate_samples_skipped(self, small_setup):
         tr, tg, grid = small_setup
         W0 = np.zeros((tg.n_t,) + grid.shape)
         coeffs = np.zeros((len(tr), 1), dtype=complex)
         coeffs[0, 0] = 1.0
-        rep = duality_check(A, [(coeffs, np.array([0.0]))], [W0], 4.0, (4.0, 4.0), (2.0, 2.0))
+        rep = duality_check(tr, tg, grid, [(coeffs, np.array([0.0]))], [W0], 4.0, (4.0, 4.0), (2.0, 2.0))
         assert rep.skipped == 2
 
-    def test_sandwich_constant_stable_over_weights(self, A, small_setup):
-        _, tg, grid = small_setup
+    def test_sandwich_constant_stable_over_weights(self, small_setup):
+        tr, tg, grid = small_setup
         ratios = []
         for seed in range(10):
             W = random_smoothed_weight(tg, grid, seed=seed)
-            num = sandwich_operator(W, A).schatten(4.0).norm
+            num = sandwich_schatten(W, tr, tg, grid, 4.0).norm
             den = mixed_norm(W, tg, grid, 4.0, 4.0, measure="dt/2pi") ** 2
             ratios.append(num / den)
         r = np.array(ratios)
