@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .indices import MultiIndex, MultiIndexPair, Truncation, multi_indices
+from .indices import MultiIndexPair, Truncation, multi_indices
 
 # underflow threshold for the e^{-|zeta|^2/4} envelope: beyond this the
 # value is exactly 0.0 in double precision
@@ -50,17 +50,6 @@ def hermite_1d(k: int, x):
     for j in range(k):
         h, h_prev = x * math.sqrt(2.0 / (j + 1)) * h - math.sqrt(j / (j + 1)) * h_prev, h
     return h if h.shape else float(h)
-
-
-def hermite_tensor(alpha: MultiIndex, x) -> float:
-    """Tensor-product Hermite function: product of 1D factors h_{alpha_j}(x_j)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape[-1] != alpha.n:
-        raise ValueError(f"point has dimension {x.shape[-1]}, index has {alpha.n}")
-    out = 1.0
-    for j, kj in enumerate(alpha.entries):
-        out = out * hermite_1d(kj, x[..., j])
-    return out
 
 
 def _poly_table(k_max: int, arg: np.ndarray) -> np.ndarray:

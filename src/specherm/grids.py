@@ -9,7 +9,6 @@ vanishes on a node.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -216,32 +215,3 @@ class ExponentPair:
 
     def admissible(self) -> bool:
         return self.on_line() and self.in_range()
-
-
-_MAGIC = b"SHFIELD1"
-
-
-def save_field(f: Field, path) -> None:
-    """Flat binary layout: header (n, L, M as little-endian 64-bit) + re/im float64."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<qdq", f.grid.n, f.grid.L, f.grid.M))
-        flat = np.ravel(f.values)
-        inter = np.empty(2 * flat.size, dtype="<f8")
-        inter[0::2] = flat.real
-        inter[1::2] = flat.imag
-        fh.write(inter.tobytes())
-
-
-def load_field(path) -> Field:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise ValueError("not a field file")
-        n, L, M = struct.unpack("<qdq", fh.read(24))
-        grid = GridSpec(n=int(n), L=float(L), M=int(M))
-        inter = np.frombuffer(fh.read(), dtype="<f8")
-        if inter.size != 2 * grid.size:
-            raise ValueError("truncated field file")
-        values = (inter[0::2] + 1j * inter[1::2]).reshape(grid.shape)
-    return Field(grid, values)

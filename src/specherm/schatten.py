@@ -8,7 +8,8 @@ throughout this module, which makes e^{-i lambda t} an orthonormal family
 and the propagation frame A (columns e^{-i t lambda_p} Phi_p(z) sqrt(w_t w_z),
 one per basis pair) an isometry.  A itself is never formed: the sandwich,
 the matched systems and the duality check all read off the pairs x pairs
-weighted Gram K(W) = A* |W|^2 A.
+weighted Gram K(W) = A* |W|^2 A, and the Schatten norms of the multiplier
+family T_z off the basis Gram, one frequency block at a time.
 """
 from __future__ import annotations
 
@@ -59,6 +60,9 @@ class SchattenReport:
 
 
 def schatten_from_singular_values(s: np.ndarray, r: float, shape) -> SchattenReport:
+    """Schatten r-norm from singular values: r = 1 trace, r = 2 Hilbert-Schmidt, r = inf operator norm."""
+    if r < 1:
+        raise ValueError("Schatten exponent must be in [1, inf]")
     s = np.sort(np.abs(np.asarray(s, dtype=float)))[::-1]
     if s.size and s[0] > 0:
         s = np.where(s < _SV_CLAMP * s[0], 0.0, s)
@@ -67,20 +71,6 @@ def schatten_from_singular_values(s: np.ndarray, r: float, shape) -> SchattenRep
     else:
         norm = float(np.sum(s**r) ** (1.0 / r))
     return SchattenReport(singular_values=s, r=r, norm=norm, shape=tuple(shape))
-
-
-def schatten_norm(T: np.ndarray, r: float) -> SchattenReport:
-    """Schatten r-norm via singular value decomposition.
-
-    r = 1 is the trace norm, r = 2 Hilbert-Schmidt, r = inf the operator norm.
-    """
-    if r < 1:
-        raise ValueError("Schatten exponent must be in [1, inf]")
-    T = np.asarray(T)
-    if not np.all(np.isfinite(T)):
-        raise ValueError("matrix has non-finite entries")
-    s = linalg.svdvals(T)
-    return schatten_from_singular_values(s, r, T.shape)
 
 
 def extension_operator(fhat: dict, tg: TimeGrid, grid: GridSpec, tr: Truncation) -> np.ndarray:
@@ -137,13 +127,12 @@ def _sqrt_weights(tg: TimeGrid, grid: GridSpec) -> np.ndarray:
     return np.sqrt(np.outer(np.full(tg.n_t, 1.0 / tg.n_t), grid.weight_tensor.ravel()))
 
 
-def _fourier_frame(tr: Truncation, tg: TimeGrid, grid: GridSpec, lams: np.ndarray) -> np.ndarray:
-    """Columns Phi_{mu nu}(z) e^{-i lambda t} sqrt(w_t w_z): orthonormal when n_t > 2 max|lambda|."""
-    basis = cached_basis(tr, grid).reshape(len(tr), -1)
-    sqrtw = _sqrt_weights(tg, grid)  # (n_t, n_space)
-    phases = np.exp(-1j * np.outer(tg.nodes, lams))  # (n_t, n_lam)
-    cols = np.einsum("al,pz,az->azpl", phases, basis, sqrtw)
-    return cols.reshape(tg.n_t * grid.size, len(tr) * len(lams))
+def _dense_rows(tg: TimeGrid, grid: GridSpec) -> int:
+    """Row count n_t * M^{2n} of a dense time x space operator, refused above _MAX_MATRIX_ENTRIES entries."""
+    rows = tg.n_t * grid.size
+    if rows * rows > _MAX_MATRIX_ENTRIES:
+        raise ValueError(f"dense operator would hold {rows * rows} entries (limit {_MAX_MATRIX_ENTRIES})")
+    return rows
 
 
 def build_t_z(
@@ -155,18 +144,22 @@ def build_t_z(
 ) -> np.ndarray:
     """Matrix of the Fourier-side multiplier family on time x space samples.
 
-    At z = -1 the weight degenerates to the surface delta and the matrix is
-    assembled by summing over surface triples only, which reproduces the
-    composition of the extension operator with its adjoint exactly.
+    T_z = F diag(g) F^H with F the lambda-grid frame, columns
+    Phi_{mu nu}(z) e^{-i lambda t} sqrt(w_t w_z).  At z = -1 the weight
+    degenerates to the surface delta and the matrix is assembled by summing
+    over surface triples only, which reproduces the composition of the
+    extension operator with its adjoint exactly.
     """
-    frame, weights = _t_z_factors(z, tr, tg, grid, lambda_cut)
-    rows = frame.shape[0]
-    if rows * rows > _MAX_MATRIX_ENTRIES:
-        raise ValueError(f"dense operator would hold {rows * rows} entries (limit {_MAX_MATRIX_ENTRIES})")
-    return (frame * weights) @ frame.conj().T
+    rows = _dense_rows(tg, grid)
+    lams, weights = _t_z_factors(z, tr, tg, grid, lambda_cut)
+    basis = cached_basis(tr, grid).reshape(len(tr), -1)
+    phases = np.exp(-1j * np.outer(tg.nodes, lams))  # (n_t, n_lam)
+    frame = np.einsum("al,pz,az->azpl", phases, basis, _sqrt_weights(tg, grid)).reshape(rows, -1)
+    return (frame * weights.ravel()) @ frame.conj().T
 
 
 def _t_z_factors(z, tr, tg, grid, lambda_cut=None):
+    """Frequencies lambda_l and the weights g[p, l] of the frame columns (pair p, frequency lambda_l)."""
     cut = default_lambda_cut(tr) if lambda_cut is None else lambda_cut
     if cut < default_lambda_cut(tr):
         raise ValueError(f"lambda cut {cut} below required {default_lambda_cut(tr)}")
@@ -174,38 +167,35 @@ def _t_z_factors(z, tr, tg, grid, lambda_cut=None):
         raise ValueError(f"need more than {2 * cut} time nodes for frequency range +-{cut}")
     if complex(z) == -1.0 + 0.0j:
         lams = np.array(sorted({p.eigenvalue() for p in tr.index_set}))
-        weights = np.array(
-            [1.0 if p.eigenvalue() == lam else 0.0 for p in tr.index_set for lam in lams]
-        )
+        weights = np.array([[1.0 if p.eigenvalue() == lam else 0.0 for lam in lams] for p in tr.index_set])
     else:
         lams = np.arange(-cut, cut + 1)
-        weights = np.array(
-            [g_z_weight(z, p.mu, p.nu, int(lam)) for p in tr.index_set for lam in lams]
-        )
-    if tg.n_t * grid.size * len(tr) * len(lams) > 4 * _MAX_MATRIX_ENTRIES:
-        raise ValueError("frame too large; shrink the grid, truncation, or frequency cut")
-    return _fourier_frame(tr, tg, grid, lams), weights
+        weights = np.array([[g_z_weight(z, p.mu, p.nu, int(lam)) for lam in lams] for p in tr.index_set])
+    return lams, weights
 
 
 def t_z_schatten(z: complex, tr: Truncation, tg: TimeGrid, grid: GridSpec, r: float, lambda_cut: int | None = None) -> SchattenReport:
-    """Schatten norm of the multiplier family without forming the dense matrix.
+    """Schatten norm of the multiplier family, read off the pairs x pairs basis Gram.
 
-    With T = F diag(g) F^H and F = QR, the nonzero singular values of T are
-    those of the small matrix R diag(g) R^H, so the cost is set by the frame
-    width rather than by the number of grid samples.
+    The nodes are equispaced and n_t > 2 cut, so the Gram of the frame F of
+    ``build_t_z`` is F^H F = G_b (x) I, with G_b = conj(B) diag(w_z) B^T the
+    basis Gram.  For any R with R^H R = G_b the nonzero singular values of
+    T = F diag(g) F^H are therefore those of R diag(g[:, l]) R^H, one block
+    per frequency lambda_l.  R comes from ``eigh`` with the eigenvalues
+    clamped at 0, so a rank-deficient Gram on a coarse grid is allowed.
     """
-    frame, weights = _t_z_factors(z, tr, tg, grid, lambda_cut)
-    R = linalg.qr(frame, mode="economic")[1]
-    small = (R * weights) @ R.conj().T
-    rows = frame.shape[0]
-    return schatten_from_singular_values(linalg.svdvals(small), r, (rows, rows))
+    _, weights = _t_z_factors(z, tr, tg, grid, lambda_cut)
+    basis = cached_basis(tr, grid).reshape(len(tr), -1)
+    evals, evecs = linalg.eigh((basis.conj() * grid.weight_tensor.ravel()) @ basis.T)
+    R = np.sqrt(np.maximum(evals, 0.0))[:, None] * evecs.conj().T
+    s = np.concatenate([linalg.svdvals((R * g) @ R.conj().T) for g in weights.T])
+    rows = tg.n_t * grid.size
+    return schatten_from_singular_values(s, r, (rows, rows))
 
 
 def extension_gram_matrix(tr: Truncation, tg: TimeGrid, grid: GridSpec) -> np.ndarray:
     """E_S E_S* as F F^H, F the sqrt(w_t w_z)-weighted synthesis of every basis pair."""
-    rows = tg.n_t * grid.size
-    if rows * rows > _MAX_MATRIX_ENTRIES:
-        raise ValueError(f"dense operator would hold {rows * rows} entries (limit {_MAX_MATRIX_ENTRIES})")
+    rows = _dense_rows(tg, grid)
     F = propagate_samples(np.eye(len(tr)), tr, tg, grid).reshape(rows, len(tr))
     F *= _sqrt_weights(tg, grid).reshape(rows, 1)
     return F @ F.conj().T
@@ -267,35 +257,36 @@ def duality_check(
     tr: Truncation,
     tg: TimeGrid,
     grid: GridSpec,
-    systems: list[tuple[np.ndarray, np.ndarray]],
     weights: list[np.ndarray],
     alpha: float,
     w_exponents: tuple[float, float],
     density_exponents: tuple[float, float],
 ) -> DualityReport:
-    """Evaluate both duality-principle inequalities on paired samples.
+    """Evaluate both duality-principle inequalities, one sample per weight.
 
-    ``systems`` holds (coefficient matrix with orthonormal columns, n_j);
     ``weights`` holds sampled multiplication weights on the time-space grid.
-    For each weight the Schatten-alpha norm of the sandwich is compared with
-    the squared mixed norm of W; for each system the mixed norm of the
-    density sum n_j |e^{-i t L} u_j|^2 is compared with the dual-exponent
-    coefficient norm.  Degenerate (zero) samples are skipped and counted.
+    One eigendecomposition of K(W) gives both sides: the Schatten-alpha norm
+    of the sandwich, compared with the squared mixed norm of W, and the
+    matched system of ``matched_system``, whose density sum
+    n_j |e^{-i t L} u_j|^2 has its mixed norm compared with the dual-exponent
+    coefficient norm.  A side that degenerates (zero weight norm, empty
+    system) is skipped and counted, so a zero weight counts twice.
     """
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
     alpha_dual = math.inf if alpha == 1 else alpha / (alpha - 1)
+    rows = tg.n_t * grid.size
     sandwich_ratios = []
+    density_ratios = []
     skipped = 0
     for w in weights:
+        evals, evecs = linalg.eigh(weighted_gram(w, tr, tg, grid))
         wn = mixed_norm(w, tg, grid, *w_exponents, measure="dt/2pi")
         if wn == 0.0:
             skipped += 1
-            continue
-        sandwich_ratios.append(sandwich_schatten(w, tr, tg, grid, alpha).norm / wn**2)
-    density_ratios = []
-    for coeffs, nj in systems:
-        nj = np.asarray(nj, dtype=complex)
+        else:
+            sandwich_ratios.append(schatten_from_singular_values(evals, alpha, (rows, rows)).norm / wn**2)
+        coeffs, nj = _system_from_eigh(evals, evecs, alpha)
         if not np.any(nj):
             skipped += 1
             continue
@@ -335,6 +326,11 @@ def matched_system(tr: Truncation, tg: TimeGrid, grid: GridSpec, w_samples: np.n
     the two duality constants can be compared without a search.
     """
     evals, evecs = linalg.eigh(weighted_gram(w_samples, tr, tg, grid))
+    return _system_from_eigh(evals, evecs, alpha, n_modes)
+
+
+def _system_from_eigh(evals: np.ndarray, evecs: np.ndarray, alpha: float, n_modes: int | None = None):
+    """Columns and n_j = eigenvalue^(alpha - 1) of the eigenpairs above the clamp, largest first."""
     order = np.argsort(evals)[::-1]
     evals, evecs = np.maximum(evals[order], 0.0), evecs[:, order]
     if n_modes is not None:

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .basis import basis_matrix, phi_k as _phi_k_point
 from .grids import Field, GridSpec, sample_field
@@ -189,16 +188,7 @@ def project_k(f: Field, k: int, tr: Truncation | None = None, method: str = "con
     raise ValueError(f"unknown method {method!r}")
 
 
-_D1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
-_D2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
-
-
-def _derivative_fd4(values: np.ndarray, axis: int, h: float, order: int) -> np.ndarray:
-    stencil = _D1 / h if order == 1 else _D2 / (h * h)
-    return ndimage.correlate1d(values, stencil, axis=axis, mode="constant", cval=0.0)
-
-
-def _derivative_fourier(values: np.ndarray, axis: int, h: float, order: int) -> np.ndarray:
+def _derivative(values: np.ndarray, axis: int, h: float, order: int) -> np.ndarray:
     m = values.shape[axis]
     kappa = 2.0 * np.pi * np.fft.fftfreq(m, d=h)
     mult = (1j * kappa) ** order
@@ -207,23 +197,18 @@ def _derivative_fourier(values: np.ndarray, axis: int, h: float, order: int) -> 
     return np.fft.ifft(np.fft.fft(values, axis=axis) * mult.reshape(shape), axis=axis)
 
 
-def apply_twisted_laplacian(f: Field, method: str = "fourier") -> Field:
+def apply_twisted_laplacian(f: Field) -> Field:
     """Apply the operator (1/2) sum_j (Z_j Zbar_j + Zbar_j Z_j) to sampled f.
 
     In real coordinates z_j = x_j + i y_j this is
     sum_j [ -(d_xx + d_yy) + (x_j^2 + y_j^2)/4 - i (x_j d_y - y_j d_x) ].
 
-    ``method='fourier'`` differentiates spectrally (fields decay to ~1e-12 at
-    the boundary, so the periodic wrap is negligible); ``method='fd4'`` uses
-    4th-order centered stencils, whose truncation error dominates for high
-    modes on desk-scale grids.
+    Derivatives are spectral (fields decay to ~1e-12 at the boundary, so the
+    periodic wrap is negligible).
     """
     grid = f.grid
     if grid.M < 16:
         raise ValueError("grid too coarse for stable differentiation (need M >= 16)")
-    deriv = _derivative_fourier if method == "fourier" else _derivative_fd4
-    if method not in ("fourier", "fd4"):
-        raise ValueError(f"unknown method {method!r}")
     h = grid.spacing
     coords = grid.zeta_coords()
     out = np.zeros(grid.shape, dtype=complex)
@@ -231,7 +216,7 @@ def apply_twisted_laplacian(f: Field, method: str = "fourier") -> Field:
         ax_x, ax_y = 2 * j, 2 * j + 1
         x = coords[j].real
         y = coords[j].imag
-        out += -(deriv(f.values, ax_x, h, 2) + deriv(f.values, ax_y, h, 2))
+        out += -(_derivative(f.values, ax_x, h, 2) + _derivative(f.values, ax_y, h, 2))
         out += 0.25 * (x * x + y * y) * f.values
-        out += -1j * (x * deriv(f.values, ax_y, h, 1) - y * deriv(f.values, ax_x, h, 1))
+        out += -1j * (x * _derivative(f.values, ax_y, h, 1) - y * _derivative(f.values, ax_x, h, 1))
     return Field(grid, out)

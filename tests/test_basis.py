@@ -8,7 +8,6 @@ from specherm.basis import (
     InsufficientQuadratureError,
     default_quad_order,
     hermite_1d,
-    hermite_tensor,
     phi_k,
     special_hermite,
 )
@@ -42,24 +41,6 @@ class TestHermite1d:
         for k in (0, 3, 8):
             val, _ = integrate.quad(lambda x: hermite_1d(k, x) ** 2, -15, 15)
             assert val == pytest.approx(1.0, abs=1e-10)
-
-
-class TestHermiteTensor:
-    def test_ground_state(self):
-        assert hermite_tensor(MultiIndex((0, 0)), (0.0, 0.0)) == pytest.approx(math.pi ** -0.5)
-
-    def test_vanishing_factor(self):
-        assert hermite_tensor(MultiIndex((1, 0)), (0.0, 0.7)) == 0.0
-
-    def test_factorizes_componentwise(self):
-        rng = np.random.default_rng(7)
-        x = rng.standard_normal(2)
-        got = hermite_tensor(MultiIndex((2, 3)), x)
-        assert got == pytest.approx(hermite_1d(2, x[0]) * hermite_1d(3, x[1]), rel=1e-13)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            hermite_tensor(MultiIndex((1,)), (0.0, 1.0))
 
 
 def _defining_integral_1d(mu, nu, zeta):

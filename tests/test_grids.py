@@ -9,13 +9,11 @@ from specherm.grids import (
     Field,
     default_half_width,
     inner_product,
-    load_field,
     lp_norm,
     make_grid,
     make_time_grid,
     mixed_norm,
     sample_field,
-    save_field,
     zero_field,
 )
 from specherm.indices import enumerate_pairs
@@ -41,6 +39,9 @@ class TestGridSpec:
             make_grid(1, 8.0, 6)  # too few
         with pytest.raises(ValueError):
             make_grid(0, 8.0, 64)
+
+    def test_default_half_width_covers_turning_point(self):
+        assert default_half_width(1, 4) > math.sqrt(2 * (2 * 4 + 1))
 
 
 def _phi00(grid):
@@ -163,17 +164,3 @@ class TestExponentPair:
         assert ExponentPair(2, 2, 1).in_range()
         assert not ExponentPair(2, 3, 1).in_range()
         assert ExponentPair(1.5, 1.5, 2).in_range()
-
-
-class TestSerialization:
-    def test_round_trip(self, tmp_path, grid4):
-        rng = np.random.default_rng(11)
-        f = Field(grid4, rng.standard_normal(grid4.shape) + 1j * rng.standard_normal(grid4.shape))
-        path = tmp_path / "field.bin"
-        save_field(f, path)
-        g = load_field(path)
-        assert g.grid == grid4
-        np.testing.assert_array_equal(g.values, f.values)
-
-    def test_default_half_width_covers_turning_point(self):
-        assert default_half_width(1, 4) > math.sqrt(2 * (2 * 4 + 1))

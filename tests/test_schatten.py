@@ -22,12 +22,13 @@ from specherm.schatten import (
     matched_system,
     random_smoothed_weight,
     sandwich_schatten,
-    schatten_norm,
+    schatten_from_singular_values,
     surface_coefficients,
     t_z_schatten,
     weighted_gram,
 )
-from specherm.twisted import SpectralCoeffs, inverse_transform
+from specherm.strichartz import CoefficientVector, OrthonormalSystem, density
+from specherm.twisted import SpectralCoeffs, cached_basis, inverse_transform
 
 
 def pair(mu, nu):
@@ -65,6 +66,33 @@ def dense_frame(tr, tg, grid):
     return np.stack(cols, axis=1) * sqrtw[:, None]
 
 
+@pytest.fixture(scope="module")
+def coarse_setup():
+    # on this grid the basis Gram is far from the identity
+    tr = enumerate_pairs(1, 2)
+    grid = make_grid(1, 9.2, 10)
+    tg = make_time_grid(28)
+    return tr, tg, grid
+
+
+def frame_qr_singular_values(z, tr, tg, grid):
+    """Singular values of T_z by the QR of the dense lambda-grid frame F, built here.
+
+    F has columns Phi_p(z) e^{-i lambda t} sqrt(w_t w_z), pair-major; with
+    F = QR the nonzero singular values of F diag(g) F^H are those of
+    R diag(g) R^H.  This is the reference for the basis-Gram block form.
+    """
+    cut = default_lambda_cut(tr)
+    lams = np.arange(-cut, cut + 1)
+    basis = np.stack([inverse_transform(SpectralCoeffs(tr, e), grid).values.ravel() for e in np.eye(len(tr), dtype=complex)])
+    sqrtw = np.sqrt(np.outer(np.full(tg.n_t, 1.0 / tg.n_t), grid.weight_tensor.ravel()))
+    phases = np.exp(-1j * np.outer(tg.nodes, lams))
+    F = np.einsum("al,pz,az->azpl", phases, basis, sqrtw).reshape(tg.n_t * grid.size, -1)
+    g = np.array([g_z_weight(z, p.mu, p.nu, int(lam)) for p in tr.index_set for lam in lams])
+    R = linalg.qr(F, mode="economic")[1]
+    return linalg.svdvals((R * g) @ R.conj().T)
+
+
 def gaussian_weight(tg, grid, seed):
     rng = np.random.default_rng(seed)
     shape = (tg.n_t,) + grid.shape
@@ -73,35 +101,40 @@ def gaussian_weight(tg, grid, seed):
 
 class TestSchattenNorm:
     def test_diagonal_hilbert_schmidt(self):
-        rep = schatten_norm(np.diag([3.0, 4.0]), 2)
+        rep = schatten_from_singular_values(np.array([3.0, 4.0]), 2, (2, 2))
         assert rep.norm == pytest.approx(5.0)
 
     def test_identity_any_exponent(self):
         for r in (1, 2, 4, math.inf):
             want = 6.0 ** (1.0 / r) if not math.isinf(r) else 1.0
-            assert schatten_norm(np.eye(6), r).norm == pytest.approx(want)
+            assert schatten_from_singular_values(np.ones(6), r, (6, 6)).norm == pytest.approx(want)
 
     def test_hilbert_schmidt_is_frobenius(self):
         rng = np.random.default_rng(0)
         T = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        assert schatten_norm(T, 2).norm == pytest.approx(np.linalg.norm(T), abs=1e-10)
+        rep = schatten_from_singular_values(linalg.svdvals(T), 2, T.shape)
+        assert rep.norm == pytest.approx(np.linalg.norm(T), abs=1e-10)
 
     def test_monotone_in_exponent(self):
         rng = np.random.default_rng(1)
-        T = rng.standard_normal((8, 8))
-        norms = [schatten_norm(T, r).norm for r in (1, 2, 4, math.inf)]
+        s = linalg.svdvals(rng.standard_normal((8, 8)))
+        norms = [schatten_from_singular_values(s, r, (8, 8)).norm for r in (1, 2, 4, math.inf)]
         assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
 
     def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            schatten_norm(np.array([[np.nan, 0], [0, 1]]), 2)
-        with pytest.raises(ValueError):
-            schatten_norm(np.eye(2), 0.5)
+        for r in (0.5, 0.0):
+            with pytest.raises(ValueError):
+                schatten_from_singular_values(np.ones(2), r, (2, 2))
 
     def test_singular_values_sorted_nonnegative(self):
-        rep = schatten_norm(np.diag([1.0, 9.0, 4.0]), 1)
-        assert np.all(np.diff(rep.singular_values) <= 0)
-        assert np.all(rep.singular_values >= 0)
+        rep = schatten_from_singular_values(np.array([1.0, -9.0, 4.0]), 1, (3, 3))
+        np.testing.assert_array_equal(rep.singular_values, [9.0, 4.0, 1.0])
+        assert rep.norm == pytest.approx(14.0)
+
+    def test_relative_clamp_zeroes_noise(self):
+        # relative to the largest: kept just above the floor, zeroed below it
+        rep = schatten_from_singular_values(np.array([0.5, 0.5 * _SV_CLAMP, 1.0, 2.0 * _SV_CLAMP]), 1, (4, 4))
+        np.testing.assert_array_equal(rep.singular_values, [1.0, 0.5, 2.0 * _SV_CLAMP, 0.0])
 
 
 class TestSurfacePoint:
@@ -282,6 +315,28 @@ class TestBuildTz:
             assert rep.norm <= bound * (1 + 1e-6)
             assert rep.norm == pytest.approx(bound, rel=1e-5)
 
+    @pytest.mark.parametrize("z", [0.5j, -0.5 + 1j, 1.0])
+    def test_block_form_matches_frame_qr_on_coarse_grid(self, z, coarse_setup):
+        tr, tg, grid = coarse_setup
+        B = cached_basis(tr, grid).reshape(len(tr), -1)
+        G_b = (B.conj() * grid.weight_tensor.ravel()) @ B.T
+        assert np.abs(G_b - np.eye(len(tr))).max() > 0.1  # the factor order of the blocks matters here
+        want = np.sort(frame_qr_singular_values(z, tr, tg, grid))[::-1]
+        kept = want > _SV_CLAMP * want[0]
+        for r in (1.0, 2.0, math.inf):
+            rep = t_z_schatten(z, tr, tg, grid, r)
+            assert rep.singular_values.shape == want.shape
+            np.testing.assert_allclose(rep.singular_values[kept], want[kept], rtol=1e-10)
+            assert rep.norm == pytest.approx(schatten_from_singular_values(want, r, rep.shape).norm, rel=1e-10)
+
+    @pytest.mark.parametrize("s", [0.0, 0.7])
+    def test_imaginary_axis_at_kmax_4(self, s):
+        # k_max = 4, M = 48, n_t = 64: a lambda-grid frame here would hold 129 M entries
+        tr = enumerate_pairs(1, 4)
+        grid = make_grid(1, default_half_width(1, 4), 48)
+        rep = t_z_schatten(complex(0.0, s), tr, make_time_grid(64), grid, math.inf)
+        assert rep.norm == pytest.approx(abs(1.0 / gamma(1.0 + 1j * s)), rel=1e-12)
+
 
 class TestSandwich:
     def test_unit_weight_gives_projector_spectrum(self, small_setup):
@@ -309,6 +364,13 @@ class TestSandwich:
             weighted_gram(np.ones((tg.n_t + 1,) + grid.shape), tr, tg, grid)
         with pytest.raises(ValueError):
             sandwich_schatten(np.ones((tg.n_t,) + grid.shape)[..., :-1], tr, tg, grid, 4.0)
+
+    def test_exponent_below_one_rejected(self, small_setup):
+        tr, tg, grid = small_setup
+        with pytest.raises(ValueError):
+            sandwich_schatten(np.ones((tg.n_t,) + grid.shape), tr, tg, grid, 0.5)
+        with pytest.raises(ValueError):
+            t_z_schatten(0.5j, tr, tg, grid, 0.5)
 
 
 _PROPERTY_SETUP = (enumerate_pairs(1, 2), make_time_grid(6), make_grid(1, 9.2, 32))
@@ -342,24 +404,37 @@ class TestGramProperties:
 
 
 class TestDuality:
+    EXPONENTS = dict(alpha=4.0, w_exponents=(4.0, 4.0), density_exponents=(2.0, 2.0))
+
     def test_single_function_ratios_positive(self, small_setup):
         tr, tg, grid = small_setup
         W = random_smoothed_weight(tg, grid, seed=2)
-        coeffs = np.zeros((len(tr), 1), dtype=complex)
-        coeffs[0, 0] = 1.0
-        rep = duality_check(tr, tg, grid, [(coeffs, np.array([1.0]))], [W], alpha=4.0,
-                            w_exponents=(4.0, 4.0), density_exponents=(2.0, 2.0))
+        rep = duality_check(tr, tg, grid, [W], **self.EXPONENTS)
+        assert rep.sandwich_ratios.shape == rep.density_ratios.shape == (1,)
         assert rep.max_sandwich > 0 and math.isfinite(rep.max_sandwich)
         assert rep.max_density > 0 and math.isfinite(rep.max_density)
+        assert rep.skipped == 0
 
     def test_density_side_homogeneity(self, small_setup):
         tr, tg, grid = small_setup
         W = random_smoothed_weight(tg, grid, seed=3)
-        coeffs, nj = matched_system(tr, tg, grid, W, alpha=4.0, n_modes=4)
-        rep1 = duality_check(tr, tg, grid, [(coeffs, nj)], [], 4.0, (4.0, 4.0), (2.0, 2.0))
-        rep2 = duality_check(tr, tg, grid, [(coeffs, 2.0 * nj)], [], 4.0, (4.0, 4.0), (2.0, 2.0))
-        # doubling all n_j doubles both sides of the density inequality
+        rep1 = duality_check(tr, tg, grid, [W], **self.EXPONENTS)
+        rep2 = duality_check(tr, tg, grid, [2.0 * W], **self.EXPONENTS)
+        # scaling W scales K(W), hence the sandwich and all n_j, and both
+        # ratios are homogeneous of degree 0
+        assert rep2.sandwich_ratios[0] == pytest.approx(rep1.sandwich_ratios[0], rel=1e-10)
         assert rep2.density_ratios[0] == pytest.approx(rep1.density_ratios[0], rel=1e-10)
+
+    def test_one_gram_matches_separate_calls(self, small_setup):
+        tr, tg, grid = small_setup
+        W = random_smoothed_weight(tg, grid, seed=5)
+        rep = duality_check(tr, tg, grid, [W], **self.EXPONENTS)
+        wn = mixed_norm(W, tg, grid, 4.0, 4.0, measure="dt/2pi")
+        assert rep.sandwich_ratios[0] == pytest.approx(sandwich_schatten(W, tr, tg, grid, 4.0).norm / wn**2, rel=1e-12)
+        coeffs, nj = matched_system(tr, tg, grid, W, alpha=4.0)
+        dens = density(OrthonormalSystem(tr, coeffs), CoefficientVector(nj), tg, grid)
+        dn = mixed_norm(dens, tg, grid, 2.0, 2.0, measure="dt/2pi")
+        assert rep.density_ratios[0] == pytest.approx(dn / np.linalg.norm(nj, ord=4.0 / 3.0), rel=1e-12)
 
     def test_matched_system_diagonalizes_gram(self, small_setup):
         tr, tg, grid = small_setup
@@ -374,10 +449,11 @@ class TestDuality:
     def test_degenerate_samples_skipped(self, small_setup):
         tr, tg, grid = small_setup
         W0 = np.zeros((tg.n_t,) + grid.shape)
-        coeffs = np.zeros((len(tr), 1), dtype=complex)
-        coeffs[0, 0] = 1.0
-        rep = duality_check(tr, tg, grid, [(coeffs, np.array([0.0]))], [W0], 4.0, (4.0, 4.0), (2.0, 2.0))
+        W = random_smoothed_weight(tg, grid, seed=2)
+        rep = duality_check(tr, tg, grid, [W0, W], **self.EXPONENTS)
+        # a zero weight has no sandwich ratio and an empty matched system
         assert rep.skipped == 2
+        assert rep.sandwich_ratios.shape == rep.density_ratios.shape == (1,)
 
     def test_sandwich_constant_stable_over_weights(self, small_setup):
         tr, tg, grid = small_setup

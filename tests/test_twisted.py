@@ -157,11 +157,3 @@ class TestTwistedLaplacian:
         g = make_grid(1, 4.0, 12)
         with pytest.raises(ValueError):
             apply_twisted_laplacian(zero_field(g))
-
-    def test_finite_difference_path_consistent(self, tr4, grid4):
-        # the stencil path is kept as an independent cross-check; its accuracy
-        # at desk-scale spacing is O(h^4) ~ 1e-2, far looser than the spectral path
-        f = mode(tr4, grid4, 0, 0)
-        lf = apply_twisted_laplacian(f, method="fd4")
-        res = lp_norm(Field(grid4, lf.values - 1.0 * f.values), 2) / lp_norm(f, 2)
-        assert res < 0.1
