@@ -20,11 +20,11 @@ import numpy as np
 from scipy import linalg
 from scipy.special import gamma as _gamma
 
-from .grids import Field, GridSpec, TimeGrid, mixed_norm
+from .grids import GridSpec, TimeGrid, mixed_norm
 from .indices import MultiIndex, MultiIndexPair, Truncation
 from .propagator import ComplexTime, mehler_kernel_field, propagate_samples
 from .strichartz import CoefficientVector, OrthonormalSystem, density
-from .twisted import SpectralCoeffs, cached_basis, twisted_convolve
+from .twisted import SpectralCoeffs, cached_basis, twisted_convolve_batch
 
 # relative floor under which singular values are treated as exact zeros:
 # rank-deficient sandwiches otherwise pollute trace-class sums with noise
@@ -270,7 +270,8 @@ def duality_check(
     matched system of ``matched_system``, whose density sum
     n_j |e^{-i t L} u_j|^2 has its mixed norm compared with the dual-exponent
     coefficient norm.  A side that degenerates (zero weight norm, empty
-    system) is skipped and counted, so a zero weight counts twice.
+    system) is skipped and counted, so a zero weight counts twice; a side
+    left with no ratio at all raises ``ValueError``.
     """
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
@@ -293,6 +294,10 @@ def duality_check(
         dens = density(OrthonormalSystem(tr, coeffs), CoefficientVector(nj), tg, grid)
         dn = mixed_norm(dens, tg, grid, *density_exponents, measure="dt/2pi")
         density_ratios.append(dn / float(np.linalg.norm(nj, ord=alpha_dual)))
+    if not sandwich_ratios or not density_ratios:
+        raise ValueError(
+            f"duality check has no ratio on a side: every weight was degenerate ({skipped} sides skipped)"
+        )
     return DualityReport(
         alpha=alpha,
         alpha_dual=alpha_dual,
@@ -312,9 +317,7 @@ def random_smoothed_weight(tg: TimeGrid, grid: GridSpec, seed: int) -> np.ndarra
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((tg.n_t,) + grid.shape) + 1j * rng.standard_normal((tg.n_t,) + grid.shape)
     kernel = mehler_kernel_field(ComplexTime(0.2, 0.0), grid)
-    smooth = np.stack(
-        [twisted_convolve(Field(grid, raw[a]), kernel).values for a in range(tg.n_t)]
-    )
+    smooth = twisted_convolve_batch(raw, kernel)
     norm = mixed_norm(smooth, tg, grid, 4.0, 4.0, measure="dt/2pi")
     return smooth / norm
 

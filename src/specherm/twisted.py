@@ -1,8 +1,8 @@
 """Twisted convolution, the two-index spectral transform, and the operator itself.
 
-The convolution is evaluated by direct quadrature.  Grid differences
-z_i - w_j fall on a lattice offset by half a spacing from the sample
-lattice (the axes have an even point count), so the first factor is
+The convolution is a direct quadrature sum in factorized form.  Grid
+differences z_i - w_j fall on a lattice offset by half a spacing from the
+sample lattice (the axes have an even point count), so the first factor is
 resampled once onto that difference lattice with an FFT phase shift; the
 fields handled here decay like exp(-|z|^2/4), which makes both the
 periodization and the zero-extension outside the domain negligible.
@@ -52,98 +52,91 @@ class SpectralCoeffs:
         return SpectralCoeffs(self.truncation, self.coeffs.copy())
 
 
-def _difference_resample(values: np.ndarray, M: int) -> np.ndarray:
-    """Resample onto the difference lattice {k h : |k| <= M-1} along every axis.
+def _difference_samples(values: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Each field of ``values`` (B, *grid.shape) on the difference lattice, times exp(-(i/2) u.v).
 
-    Zero-pads each axis to length 2M (boundary samples are ~1e-12 for the
-    Gaussian-decaying fields used here) and applies a half-index Fourier
-    shift; the result has length 2M-1 per axis, index k + (M-1) <-> k h.
+    Every axis is zero-padded to 2M, shifted half an index by a Fourier phase
+    and cut to {k h : |k| <= M-1} (index k + M - 1), whose x and y coordinates are u and v.
     """
+    M, n = grid.M, grid.n
+    # offset M/2 into the padding (exactly (-i)^k, M being even), then half an index
+    shift = np.array([1, -1j, -1, 1j])[np.arange(2 * M) % 4] * np.exp(1j * np.pi * np.fft.fftfreq(2 * M))
+    lattice = np.arange(1 - M, M) * grid.spacing
+    chirp = np.exp(-0.5j * np.outer(lattice, lattice))
     out = values
-    for axis in range(values.ndim):
-        padded_shape = list(out.shape)
-        padded_shape[axis] = 2 * M
-        padded = np.zeros(padded_shape, dtype=complex)
-        sl = [slice(None)] * out.ndim
-        sl[axis] = slice(M // 2, M // 2 + M)
-        padded[tuple(sl)] = out
-        freq = np.fft.fftfreq(2 * M) * 2 * M
-        phase = np.exp(2j * np.pi * freq * 0.5 / (2 * M))
+    for axis in range(1, 2 * n + 1):
         shape = [1] * out.ndim
         shape[axis] = 2 * M
-        shifted = np.fft.ifft(np.fft.fft(padded, axis=axis) * phase.reshape(shape), axis=axis)
-        sl[axis] = slice(0, 2 * M - 1)
-        out = shifted[tuple(sl)]
-    return out
-
-
-def _convolve_reference(f: Field, g: Field) -> np.ndarray:
-    """Readable any-dimension path: per-output gather over the difference lattice."""
-    grid = f.grid
-    M, n = grid.M, grid.n
-    fd = _difference_resample(f.values, M).ravel()
-    dim = 2 * n
-    strides = [(2 * M - 1) ** (dim - 1 - a) for a in range(dim)]
-    idx1d = np.arange(M)
-    jmesh = np.meshgrid(*([idx1d] * dim), indexing="ij")
-    jravel = sum(jm.ravel() * s for jm, s in zip(jmesh, strides))
-    gw = (g.values * grid.weight_tensor).ravel()
-    nodes = grid.axis
-    # phase factors exp(+-i/2 * node_a * node_b), gathered per coordinate
-    plus = np.exp(0.5j * np.outer(nodes, nodes))
-    phase_rows = []
+        out = np.fft.ifft(np.fft.fft(out, n=2 * M, axis=axis) * shift.reshape(shape), axis=axis)
+        out = out[(slice(None),) * axis + (slice(0, 2 * M - 1),)]
     for c in range(n):
-        jx = jmesh[2 * c].ravel()
-        jy = jmesh[2 * c + 1].ravel()
-        phase_rows.append((plus[:, jx], np.conj(plus)[:, jy]))
-    out = np.empty(grid.shape, dtype=complex)
-    for i in np.ndindex(grid.shape):
-        base = sum((i[a] + M - 1) * strides[a] for a in range(dim))
-        vals = fd[base - jravel] * gw
-        for c in range(n):
-            ix, iy = i[2 * c], i[2 * c + 1]
-            vals = vals * phase_rows[c][0][iy] * phase_rows[c][1][ix]
-        out[i] = vals.sum()
+        out = out * np.expand_dims(chirp, [a for a in range(2 * n + 1) if a not in (1 + 2 * c, 2 + 2 * c)])
     return out
 
 
-def _convolve_fast_2d(f: Field, g: Field) -> np.ndarray:
-    """Vectorized n=1 path; same quadrature sum as the reference implementation."""
-    grid = f.grid
-    M = grid.M
-    fd = _difference_resample(f.values, M)
-    nodes = grid.axis
-    w = grid.axis_weights
-    plus = np.exp(0.5j * np.outer(nodes, nodes))  # plus[iy, jx]
-    gw = g.values * np.outer(w, w)
-    out = np.empty((M, M), dtype=complex)
-    for ix in range(M):
-        rows = fd[ix + M - 1 - np.arange(M)]                  # rows[jx, m] = fd[ix-jx+M-1, m]
-        # windows[jx, iy, r] = rows[jx, iy + r]; r = M-1-jy
-        windows = np.lib.stride_tricks.sliding_window_view(rows, M, axis=1)
-        g2 = gw * np.conj(plus)[ix]                           # g2[jx, jy]
-        g2r = g2[:, ::-1]                                     # reindex jy -> r
-        out[ix] = np.einsum("jir,jr,ij->i", windows, g2r, plus, optimize=True)
-    return out
+# complex entries per chunk of output x rows: bounds the g-side spectra held at once
+_CHUNK_ENTRIES = 2**15
 
 
-def twisted_convolve(f: Field, g: Field, method: str = "auto") -> Field:
+def _y_spectrum(a: np.ndarray, M: int, n: int) -> np.ndarray:
+    """FFT of length 2M along each of the n trailing (y) axes, zero-padding them."""
+    for axis in range(-n, 0):
+        a = np.fft.fft(a, n=2 * M, axis=axis)
+    return a
+
+
+def twisted_convolve_batch(values: np.ndarray, g: Field) -> np.ndarray:
+    """Twisted convolution of each field in ``values`` (shape (B, *grid.shape)) with g.
+
+    With u = x_z - x_w and v = y_z - y_w the phase splits as
+    y_z.x_w - x_z.y_w = x_z.y_z - u.v - y_w.(2 x_z - x_w): a factor of the
+    output point, one of the difference (taken into f) and one of the output
+    x and the point w (taken into g).  For a fixed output x multi-index the
+    sum over w is then a sum over x_w of y-convolutions.  In y-frequency
+    space (FFTs of length 2M per y axis; 2M - 1 points already keep
+    wrap-around off the output window) that sum is one matrix product per
+    frequency, followed by one inverse FFT per output x row.  The g-side
+    spectra, O(M^{3n} log M), are computed once per chunk of output x rows
+    and shared by the whole batch; each field then costs O(M^{3n}).
+    """
+    grid = g.grid
+    if np.shape(values)[1:] != grid.shape:
+        raise ValueError("fields live on different grids")
+    M, n = grid.M, grid.n
+    K = (2 * M) ** n  # y frequencies
+    xy = [0] + [1 + a for a in (*range(0, 2 * n, 2), *range(1, 2 * n, 2))]  # batch, x axes, y axes
+    ix = np.indices((M,) * n).reshape(n, -1)  # flat x multi-index -> coordinates
+    plus = np.exp(0.5j * np.outer(grid.axis, grid.axis))
+    # exp((i/2) x_a . x_b) for flat x multi-indices a, b, shaped [a, *b]
+    phase = np.prod(plus[ix[:, :, None], ix[:, None, :]], axis=0).reshape((M**n,) + (M,) * n)
+    gw = (g.values * grid.weight_tensor)[None].transpose(xy).reshape(phase.shape) * phase
+    fd = _difference_samples(values, grid).transpose(xy)
+    fhat = np.moveaxis(_y_spectrum(fd, M, n).reshape(fd.shape[: n + 1] + (K,)), -1, 0).copy()  # [k, b, *x diff]
+    sums = np.empty((M**n, K, len(fd)), dtype=complex)  # [ix, k, b]
+    step = max(1, _CHUNK_ENTRIES // (M**n * K))
+    for start in range(0, M**n, step):
+        rows = slice(start, start + step)
+        ghat = _y_spectrum(gw * np.conj(phase[rows, None]) ** 2, M, n).reshape(-1, M**n, K)
+        ghat = np.ascontiguousarray(ghat[:, ::-1].transpose(0, 2, 1))  # [ix, k, w], jx = M-1-w per coordinate
+        for r, i in enumerate(range(M**n)[rows]):
+            # f at x_z - x_w for jx = M-1-w: the M differences from x_z's own index on, per coordinate
+            window = fhat[(slice(None),) * 2 + tuple(slice(c, c + M) for c in ix[:, i])]
+            sums[i] = (window.reshape(K, -1, M**n) @ ghat[r, :, :, None])[..., 0]
+    out = np.fft.ifftn(sums.transpose(2, 0, 1).reshape((-1, M**n) + (2 * M,) * n), axes=range(-n, 0))
+    out = out[(Ellipsis,) + (slice(M - 1, 2 * M - 1),) * n] * phase  # the output window of each y axis
+    return out.reshape((-1,) + (M,) * (2 * n)).transpose(np.argsort(xy))
+
+
+def twisted_convolve(f: Field, g: Field) -> Field:
     """Oscillatory convolution f x g with phase exp((i/2) Im(z . conj(w))).
 
-    Direct quadrature at desk scale; values of f outside the domain are
-    taken as zero (the fields of interest have Gaussian decay).
+    Direct quadrature at desk scale (see ``twisted_convolve_batch``); values
+    of f outside the domain are taken as zero (the fields of interest have
+    Gaussian decay).
     """
     if f.grid != g.grid:
         raise ValueError("fields live on different grids")
-    if method == "auto":
-        method = "fast" if f.grid.n == 1 else "reference"
-    if method == "fast":
-        if f.grid.n != 1:
-            raise ValueError("fast path only implemented for n = 1")
-        return Field(f.grid, _convolve_fast_2d(f, g))
-    if method == "reference":
-        return Field(f.grid, _convolve_reference(f, g))
-    raise ValueError(f"unknown method {method!r}")
+    return Field(f.grid, twisted_convolve_batch(f.values[None], g)[0])
 
 
 def phi_k_field(k: int, grid: GridSpec, quad_order: int | None = None) -> Field:

@@ -455,6 +455,12 @@ class TestDuality:
         assert rep.skipped == 2
         assert rep.sandwich_ratios.shape == rep.density_ratios.shape == (1,)
 
+    def test_only_zero_weights_rejected(self, small_setup):
+        tr, tg, grid = small_setup
+        W0 = np.zeros((tg.n_t,) + grid.shape)
+        with pytest.raises(ValueError, match=r"every weight was degenerate \(4 sides skipped\)"):
+            duality_check(tr, tg, grid, [W0, W0], **self.EXPONENTS)
+
     def test_sandwich_constant_stable_over_weights(self, small_setup):
         tr, tg, grid = small_setup
         ratios = []

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from specherm.grids import Field, inner_product, lp_norm, make_grid, zero_field
+from specherm.grids import Field, default_half_width, inner_product, lp_norm, make_grid, zero_field
 from specherm.indices import MultiIndex, MultiIndexPair, enumerate_pairs
 from specherm.twisted import (
     SpectralCoeffs,
@@ -14,6 +16,7 @@ from specherm.twisted import (
     phi_k_field,
     project_k,
     twisted_convolve,
+    twisted_convolve_batch,
 )
 
 
@@ -26,6 +29,57 @@ def random_band_limited(tr, grid, seed=0):
     rng = np.random.default_rng(seed)
     c = SpectralCoeffs(tr, rng.standard_normal(len(tr)) + 1j * rng.standard_normal(len(tr)))
     return c, inverse_transform(c, grid)
+
+
+def difference_resample(values, M):
+    """Zero-pad every axis to 2M, shift half an index, keep the 2M - 1 lattice points."""
+    out = values
+    for axis in range(values.ndim):
+        padded_shape = list(out.shape)
+        padded_shape[axis] = 2 * M
+        padded = np.zeros(padded_shape, dtype=complex)
+        sl = [slice(None)] * out.ndim
+        sl[axis] = slice(M // 2, M // 2 + M)
+        padded[tuple(sl)] = out
+        freq = np.fft.fftfreq(2 * M) * 2 * M
+        shape = [1] * out.ndim
+        shape[axis] = 2 * M
+        phase = np.exp(2j * np.pi * freq * 0.5 / (2 * M)).reshape(shape)
+        sl[axis] = slice(0, 2 * M - 1)
+        out = np.fft.ifft(np.fft.fft(padded, axis=axis) * phase, axis=axis)[tuple(sl)]
+    return out
+
+
+def gather_reference(f, g):
+    """Per-output gather over the difference lattice, O(M^{4n}): the former reference path."""
+    grid = f.grid
+    M, n = grid.M, grid.n
+    fd = difference_resample(f.values, M).ravel()
+    dim = 2 * n
+    strides = [(2 * M - 1) ** (dim - 1 - a) for a in range(dim)]
+    jmesh = np.meshgrid(*([np.arange(M)] * dim), indexing="ij")
+    jravel = sum(jm.ravel() * s for jm, s in zip(jmesh, strides))
+    gw = (g.values * grid.weight_tensor).ravel()
+    plus = np.exp(0.5j * np.outer(grid.axis, grid.axis))
+    phase_rows = [(plus[:, jmesh[2 * c].ravel()], np.conj(plus)[:, jmesh[2 * c + 1].ravel()]) for c in range(n)]
+    out = np.empty(grid.shape, dtype=complex)
+    for i in np.ndindex(grid.shape):
+        base = sum((i[a] + M - 1) * strides[a] for a in range(dim))
+        vals = fd[base - jravel] * gw
+        for c in range(n):
+            vals = vals * phase_rows[c][0][i[2 * c + 1]] * phase_rows[c][1][i[2 * c]]
+        out[i] = vals.sum()
+    return out
+
+
+def random_fields(grid, count, seed):
+    rng = np.random.default_rng(seed)
+    shape = (count,) + grid.shape
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def max_rel(got, want):
+    return float(np.abs(got - want).max() / np.abs(want).max())
 
 
 class TestTwistedConvolve:
@@ -42,7 +96,6 @@ class TestTwistedConvolve:
 
     def test_orthogonality_rule_general(self, tr4, grid4):
         # Phi_{mu nu} x Phi_{alpha beta} = sqrt(2 pi) delta_{nu alpha} Phi_{mu beta}
-        basis = cached_basis(tr4, grid4)
         for (m, n, a, b) in [(1, 2, 2, 0), (2, 1, 1, 3), (0, 3, 3, 2)]:
             f = mode(tr4, grid4, m, n)
             g = mode(tr4, grid4, a, b)
@@ -50,24 +103,92 @@ class TestTwistedConvolve:
             want = math.sqrt(2 * math.pi) * mode(tr4, grid4, m, b).values if n == a else 0.0
             assert np.abs(got - want).max() < 1e-6
 
+    def test_orthogonality_rule_n2(self):
+        # Phi_{mu nu} x Phi_{alpha beta} = 2 pi delta_{nu alpha} Phi_{mu beta} at n = 2.  The
+        # bound, 1e-3 on the largest entry error against a result of size ~1, was fixed before
+        # the first run: on L = 7, M = 16 (h = 0.93) the phase aliasing exp(-(2 pi / h)^2 / 4)
+        # and the Gaussian tail at the edge are both ~1e-5.
+        tr = enumerate_pairs(2, 1)
+        grid = make_grid(2, 7.0, 16)
+        basis = cached_basis(tr, grid)
+
+        def pair(mu, nu):
+            return tr.position(MultiIndexPair(MultiIndex(mu), MultiIndex(nu)))
+
+        g = Field(grid, basis[pair((1, 0), (0, 1))])
+        matched, unmatched = pair((0, 1), (1, 0)), pair((0, 0), (0, 1))
+        got = twisted_convolve_batch(basis[[matched, unmatched]], g)
+        assert np.abs(got[0] - 2 * math.pi * basis[pair((0, 1), (0, 1))]).max() < 1e-3
+        assert np.abs(got[1]).max() < 1e-3
+
     def test_zero_absorbing(self, grid4, tr4):
         f = mode(tr4, grid4, 1, 1)
         out = twisted_convolve(f, zero_field(grid4))
         assert np.abs(out.values).max() == 0.0
 
-    def test_fast_path_matches_reference(self, tr4, grid4):
-        rng = np.random.default_rng(2)
+    def test_fast_path_matches_reference(self):
+        # n = 1: the factorized FFT path sums the same quadrature as the per-output gather
         small = make_grid(1, 6.0, 24)
-        f = Field(small, rng.standard_normal(small.shape) + 1j * rng.standard_normal(small.shape))
-        g = Field(small, rng.standard_normal(small.shape))
-        fast = twisted_convolve(f, g, method="fast")
-        ref = twisted_convolve(f, g, method="reference")
-        assert np.abs(fast.values - ref.values).max() < 1e-8
+        f, g = (Field(small, v) for v in random_fields(small, 2, seed=2))
+        assert max_rel(twisted_convolve(f, g).values, gather_reference(f, g)) < 1e-12
+
+    def test_n2_matches_reference(self):
+        tr = enumerate_pairs(2, 1)
+        grid = make_grid(2, default_half_width(2, 1), 8)
+        f, g = (random_band_limited(tr, grid, seed=s)[1] for s in (3, 4))
+        assert max_rel(twisted_convolve(f, g).values, gather_reference(f, g)) < 1e-12
+
+    @pytest.mark.parametrize("n, M", [(1, 24), (2, 8)])
+    def test_batch_equals_single_calls(self, n, M):
+        grid = make_grid(n, 6.0, M)
+        values = random_fields(grid, 3, seed=5)
+        g = Field(grid, random_fields(grid, 1, seed=6)[0])
+        batch = twisted_convolve_batch(values, g)
+        assert batch.shape == values.shape
+        for v, got in zip(values, batch):
+            # the batch changes only the order of the frequency-space sums (BLAS)
+            assert max_rel(got, twisted_convolve(Field(grid, v), g).values) < 1e-12
 
     def test_grid_mismatch(self, grid4):
         other = make_grid(1, grid4.L, grid4.M + 2)
         with pytest.raises(ValueError):
             twisted_convolve(zero_field(grid4), zero_field(other))
+        with pytest.raises(ValueError):
+            twisted_convolve_batch(np.zeros((2,) + other.shape), zero_field(grid4))
+
+
+class TestConvolutionProperties:
+    """Hypothesis checks of the algebra twisted convolution must obey."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        a=st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+        b=st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+    )
+    def test_bilinear(self, seed, a, b):
+        grid = make_grid(1, 6.0, 24)
+        f1, f2, g1, g2 = random_fields(grid, 4, seed)
+        g = Field(grid, g1)
+        lhs = twisted_convolve_batch((a * f1 + b * f2)[None], g)[0]
+        parts = twisted_convolve_batch(np.stack([f1, f2]), g)
+        scale = abs(a) * np.abs(parts[0]).max() + abs(b) * np.abs(parts[1]).max()
+        assert np.abs(lhs - (a * parts[0] + b * parts[1])).max() <= 1e-12 * scale
+        f = Field(grid, f1)
+        rhs = twisted_convolve(f, Field(grid, a * g1 + b * g2)).values
+        left, right = twisted_convolve(f, Field(grid, g1)).values, twisted_convolve(f, Field(grid, g2)).values
+        scale = abs(a) * np.abs(left).max() + abs(b) * np.abs(right).max()
+        assert np.abs(rhs - (a * left + b * right)).max() <= 1e-12 * scale
+
+    @settings(max_examples=15, deadline=None)
+    @given(picks=st.lists(st.integers(0, 8), min_size=3, max_size=3))
+    def test_associative_on_modes(self, picks, grid4):
+        # (f x g) x h = f x (g x h) for basis modes with k_max = 2, to criterion 2's 1e-4
+        tr = enumerate_pairs(1, 2)
+        f, g, h = (Field(grid4, cached_basis(tr, grid4)[i]) for i in picks)
+        left = twisted_convolve(twisted_convolve(f, g), h).values
+        right = twisted_convolve(f, twisted_convolve(g, h)).values
+        assert np.abs(left - right).max() < 1e-4
 
 
 class TestTransforms:
