@@ -143,28 +143,19 @@ def phi_k(k: int, zeta, n: int, quad_order: int | None = None):
     return (2.0 * math.pi) ** (n / 2.0) * total
 
 
-def basis_tables(k_max: int, x: np.ndarray, y: np.ndarray, quad_order: int | None = None) -> np.ndarray:
-    """Vectorized 1D table T[mu, nu, point] for sampled coordinates (internal helper)."""
-    if quad_order is None:
-        quad_order = default_quad_order(k_max)
-    elif quad_order < default_quad_order(k_max):
-        raise InsufficientQuadratureError(
-            f"quad_order={quad_order} below required {default_quad_order(k_max)}"
-        )
-    return _sh1d_table(k_max, np.asarray(x, float), np.asarray(y, float), quad_order)
-
-
 def basis_matrix(tr: Truncation, grid, quad_order: int | None = None) -> np.ndarray:
     """Samples of every basis function in ``tr`` on ``grid``.
 
     Returns a complex array of shape (len(tr), *grid.shape); rows follow the
     truncation's ordering.
     """
-    coords = grid.zeta_coords()
-    tables = []
-    for j in range(tr.n):
-        zj = coords[j]
-        tables.append(basis_tables(tr.k_max, zj.real, zj.imag, quad_order))
+    needed = default_quad_order(tr.k_max)
+    if quad_order is None:
+        quad_order = needed
+    elif quad_order < needed:
+        raise InsufficientQuadratureError(f"quad_order={quad_order} below required {needed}")
+    # one 1D table T[mu, nu, point] per coordinate, multiplied across coordinates
+    tables = [_sh1d_table(tr.k_max, zj.real, zj.imag, quad_order) for zj in grid.zeta_coords()]
     out = np.empty((len(tr),) + grid.shape, dtype=complex)
     for i, pair in enumerate(tr.index_set):
         acc = tables[0][pair.mu.entries[0], pair.nu.entries[0]]

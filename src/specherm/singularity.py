@@ -7,7 +7,6 @@ blow-up rate of the related semigroup kernel t^{-z-1} K_{tau+it}.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -89,35 +88,22 @@ class RemainderProfile:
     singular: np.ndarray
     remainder: np.ndarray
     sup_abs: float
-    max_second_difference: float
 
 
 def remainder_profile(cfg: ProbeConfig) -> RemainderProfile:
-    """Estimate the smooth remainder over the configured time samples.
-
-    Reports the sup of |b| and the largest second divided difference as a
-    crude smoothness indicator (large values flag contamination by the
-    singular part or by under-damping).
-    """
+    """Estimate the smooth remainder and the sup of |b| over the configured time samples."""
     ts = np.array(sorted(cfg.t_samples))
     if ts.size == 0:
         raise ValueError("no time samples configured")
     abel = np.array([abel_sum(cfg, t) for t in ts])
     sing = np.array([singular_term(cfg.z, t, cfg.tau) for t in ts])
     rem = abel - sing
-    if ts.size >= 3:
-        dd1 = np.diff(rem) / np.diff(ts)
-        dd2 = np.abs(np.diff(dd1) / (ts[2:] - ts[:-2]))
-        max_dd2 = float(dd2.max())
-    else:
-        max_dd2 = 0.0
     return RemainderProfile(
         t_samples=ts,
         abel=abel,
         singular=sing,
         remainder=rem,
         sup_abs=float(np.abs(rem).max()),
-        max_second_difference=max_dd2,
     )
 
 
@@ -152,17 +138,3 @@ def h_kernel_rate(
     vals = np.array([abs(h_kernel(z, u, w, t, tau, n)) for t in ts])
     slope = np.polyfit(np.log(ts), np.log(vals), 1)[0]
     return float(slope)
-
-
-def write_probe_csv(path, cfg: ProbeConfig) -> None:
-    """One CSV row per time sample: both sides of the expansion and |b|."""
-    profile = remainder_profile(cfg)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["z_re", "z_im", "t", "tau", "abel_re", "abel_im", "singular_re", "singular_im", "remainder_abs"]
-        )
-        for t, a, s, r in zip(profile.t_samples, profile.abel, profile.singular, profile.remainder):
-            writer.writerow(
-                [cfg.z.real, cfg.z.imag, t, cfg.tau, a.real, a.imag, s.real, s.imag, abs(r)]
-            )

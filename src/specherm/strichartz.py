@@ -8,8 +8,6 @@ makes time sweeps cheap.
 """
 from __future__ import annotations
 
-import csv
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -124,7 +122,7 @@ def strichartz_ratio(
 ) -> float:
     """Quotient of the density's L^p_t L^q_z norm by the dual coefficient norm."""
     pair = ExponentPair(p=p, q=q, n=grid.n)
-    if not (pair.on_line() and pair.in_range()):
+    if not pair.admissible():
         warnings.warn(f"exponents (p={p}, q={q}) are off the admissible line", stacklevel=2)
     rhs = nj.dual_norm(q)
     if rhs == 0.0:
@@ -163,25 +161,6 @@ class SweepReport:
     def max_ratio(self) -> float:
         return max(r[5] for r in self.rows)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "max_ratio": self.max_ratio,
-                "growth_exponent": self.growth_exponent,
-                "max_ratio_by_cell": {f"q={q},N={N}": v for (q, N), v in sorted(self.max_ratio_by_cell.items())},
-                "off_line_cells": self.off_line_cells,
-                "n_rows": len(self.rows),
-            },
-            indent=2,
-        )
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "p", "q", "N", "trial", "ratio", "lhs", "rhs"])
-            for row in sorted(self.rows):
-                writer.writerow(row)
-
 
 def fit_growth_exponent(sizes, lhs_values) -> float:
     """Least-squares slope of log LHS against log N, restricted to N >= 2."""
@@ -215,7 +194,7 @@ def sweep(config: SweepConfig) -> SweepReport:
             for q in config.q_values:
                 p = admissible_exponents(n, q)
                 pair = ExponentPair(p=p, q=q, n=n)
-                if not (pair.on_line() and pair.in_range()):
+                if not pair.admissible():
                     cell = (q, N)
                     if cell not in report.off_line_cells:
                         report.off_line_cells.append(cell)

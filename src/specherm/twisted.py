@@ -45,9 +45,6 @@ class SpectralCoeffs:
         if not np.all(np.isfinite(self.coeffs)):
             raise ValueError("coefficients must be finite")
 
-    def energy(self) -> float:
-        return float(np.sum(np.abs(self.coeffs) ** 2))
-
     def copy(self) -> "SpectralCoeffs":
         return SpectralCoeffs(self.truncation, self.coeffs.copy())
 

@@ -6,11 +6,13 @@ from scipy import integrate
 
 from specherm.basis import (
     InsufficientQuadratureError,
+    basis_matrix,
     default_quad_order,
     hermite_1d,
     phi_k,
     special_hermite,
 )
+from specherm.grids import make_grid
 from specherm.indices import MultiIndex, MultiIndexPair, Truncation, enumerate_pairs, multi_indices
 
 
@@ -94,6 +96,8 @@ class TestSpecialHermite:
     def test_insufficient_quadrature_rejected(self):
         with pytest.raises(InsufficientQuadratureError):
             special_hermite(pair([4], [4]), 0.0, quad_order=10)
+        with pytest.raises(InsufficientQuadratureError):
+            basis_matrix(enumerate_pairs(1, 4), make_grid(1, 6.0, 16), quad_order=10)
 
 
 class TestPhiK:

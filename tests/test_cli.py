@@ -4,6 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from specherm.cli import main
+from specherm.singularity import abel_sum, default_config
 
 
 @pytest.fixture
@@ -38,6 +39,7 @@ class TestUsage:
         ["duality-check", "--grid-l", "0"],
         ["strichartz-sweep", "--trials", "0"],
         ["singularity", "--n", "0"],
+        ["verify-basis", "--grid-m", "8"],
     ])
     def test_invalid_value_is_usage_error(self, runner, args):
         result = runner.invoke(main, args)
@@ -106,10 +108,19 @@ class TestCommands:
         payload = json.loads(out.read_text())
         assert payload["gram_error"] < 1e-6
 
-    def test_singularity_passes(self, runner):
-        result = runner.invoke(main, ["singularity"])
+    def test_singularity_passes(self, runner, tmp_path):
+        out = tmp_path / "probe.csv"
+        result = runner.invoke(main, ["singularity", "--out", str(out), "--format", "csv"])
         assert result.exit_code == 0, result.output
         assert "[PASS] kernel-rate-law" in result.output
+        rows = [line.split(",") for line in out.read_text().splitlines()]
+        assert rows[0] == [
+            "z_re", "z_im", "t", "tau",
+            "abel_re", "abel_im", "singular_re", "singular_im", "remainder_abs",
+        ]
+        assert len(rows) == 1 + 9
+        t = float(rows[1][2])
+        assert float(rows[1][4]) == pytest.approx(abel_sum(default_config(-0.5, 1e-4), t).real, rel=1e-12)
 
     def test_schatten_bound_csv_output(self, runner, tmp_path):
         out = tmp_path / "ratios.csv"
@@ -122,10 +133,24 @@ class TestCommands:
         assert lines[0] == "trial,ratio"
         assert len(lines) == 5
 
-    def test_strichartz_sweep_passes(self, runner):
-        result = runner.invoke(main, ["strichartz-sweep", "--trials", "2", "--kmax", "4", "--nt", "12"])
+    def test_strichartz_sweep_passes(self, runner, tmp_path):
+        out = tmp_path / "rows.csv"
+        args = ["strichartz-sweep", "--trials", "2", "--kmax", "4", "--nt", "12"]
+        result = runner.invoke(main, [*args, "--out", str(out), "--format", "csv"])
         assert result.exit_code == 0, result.output
         assert "[PASS] growth-exponent" in result.output
+        lines = out.read_text().splitlines()
+        assert lines[0] == "n,p,q,N,trial,ratio,lhs,rhs"
+        assert len(lines) == 1 + 4 * 5 * 2  # q values x system sizes x trials
+
+    def test_strichartz_sweep_json_output(self, runner, tmp_path):
+        out = tmp_path / "sweep.json"
+        args = ["strichartz-sweep", "--trials", "1", "--kmax", "4", "--nt", "12", "--out", str(out)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        payload = json.loads(out.read_text())
+        assert f"[PASS] ratios-finite (max {payload['max_ratio']:.4f})" in result.stdout
+        assert f"[PASS] growth-exponent ({payload['growth_exponent']:.4f})" in result.stdout
 
     def test_duality_check_passes(self, runner):
         result = runner.invoke(main, ["duality-check", "--trials", "4", "--nt", "12", "--grid-m", "40"])
@@ -133,7 +158,9 @@ class TestCommands:
         assert "[PASS] constants-comparable" in result.output
 
     def test_failed_check_exits_one_with_stderr(self, runner):
-        # an absurdly coarse grid cannot hold the Gram identity to 1e-6
-        result = runner.invoke(main, ["verify-basis", "--kmax", "4", "--grid-m", "8", "--grid-l", "3.0"])
+        # a half-width of 3 cuts off the k_max = 4 modes: neither identity holds
+        result = runner.invoke(main, ["verify-basis", "--kmax", "4", "--grid-m", "16", "--grid-l", "3.0"])
         assert result.exit_code == 1
-        assert "[FAIL]" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "[FAIL] gram-identity" in result.stdout
+        assert result.stderr.splitlines() == ["failed: gram-identity", "failed: eigenrelation"]

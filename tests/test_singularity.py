@@ -1,5 +1,4 @@
 import cmath
-import csv
 import math
 
 import numpy as np
@@ -15,7 +14,6 @@ from specherm.singularity import (
     h_kernel_rate,
     remainder_profile,
     singular_term,
-    write_probe_csv,
 )
 
 
@@ -165,19 +163,3 @@ class TestHKernelRate:
         want = t ** (-z - 1) * 2 * math.pi * mehler_kernel(ComplexTime(tau, t), 0.2 + 0.3j)
         assert got == pytest.approx(want, rel=1e-12)
 
-
-class TestCsvOutput:
-    def test_columns_and_rows(self, tmp_path):
-        ts = (0.3, 0.9)
-        cfg = default_config(-0.5, 1e-4, t_samples=ts)
-        path = tmp_path / "probe.csv"
-        write_probe_csv(path, cfg)
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == [
-            "z_re", "z_im", "t", "tau",
-            "abel_re", "abel_im", "singular_re", "singular_im", "remainder_abs",
-        ]
-        assert len(rows) == 1 + len(ts)
-        a = abel_sum(cfg, 0.3)
-        assert float(rows[1][4]) == pytest.approx(a.real)

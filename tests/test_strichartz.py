@@ -1,4 +1,3 @@
-import json
 import math
 import warnings
 
@@ -185,17 +184,6 @@ class TestSweep:
         for (q, N), v in report.max_ratio_by_cell.items():
             if q == 1.0:
                 assert v <= 1.0 + 1e-6
-
-    def test_csv_and_json_outputs(self, report, tmp_path):
-        path = tmp_path / "rows.csv"
-        report.write_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "n,p,q,N,trial,ratio,lhs,rhs"
-        assert len(lines) == 1 + len(report.rows)
-        payload = json.loads(report.to_json())
-        assert payload["max_ratio"] == pytest.approx(report.max_ratio)
-        assert "growth_exponent" in payload
-
 
 class TestGrowthFit:
     def test_exact_power_law_recovered(self):
