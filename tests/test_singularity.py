@@ -1,4 +1,5 @@
 import cmath
+import csv
 import math
 
 import numpy as np
@@ -163,3 +164,29 @@ class TestHKernelRate:
         want = t ** (-z - 1) * 2 * math.pi * mehler_kernel(ComplexTime(tau, t), 0.2 + 0.3j)
         assert got == pytest.approx(want, rel=1e-12)
 
+
+
+class TestCsvOutput:
+    def test_columns_and_rows(self, tmp_path):
+        from click.testing import CliRunner
+
+        from specherm.cli import main
+
+        path = tmp_path / "probe.csv"
+        result = CliRunner().invoke(main, ["singularity", "--out", str(path), "--format", "csv"])
+        assert result.exit_code == 0, result.output
+        with open(path) as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == [
+            "z_re", "z_im", "t", "tau",
+            "abel_re", "abel_im", "singular_re", "singular_im", "remainder_abs",
+        ]
+        ts = tuple(float(row[2]) for row in rows[1:])
+        assert len(ts) == 9
+        prof = remainder_profile(default_config(-0.5, 1e-4, t_samples=ts))
+        for row, a, s, r in zip(rows[1:], prof.abel, prof.singular, prof.remainder):
+            assert [float(x) for x in row[:2]] == [-0.5, 0.0]
+            assert float(row[3]) == 1e-4
+            assert complex(float(row[4]), float(row[5])) == pytest.approx(a, rel=1e-12)
+            assert complex(float(row[6]), float(row[7])) == pytest.approx(s, rel=1e-12)
+            assert float(row[8]) == pytest.approx(abs(r), rel=1e-9)
