@@ -10,6 +10,7 @@ periodization and the zero-extension outside the domain negligible.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,17 +19,22 @@ from .basis import basis_matrix, phi_k as _phi_k_point
 from .grids import Field, GridSpec, sample_field
 from .indices import Truncation
 
-_BASIS_CACHE: dict = {}
+# bases kept, least recently used evicted first: one n = 2 basis at M = 24 is 191 MB
+_BASIS_CACHE_SIZE = 4
+_BASIS_CACHE: OrderedDict = OrderedDict()
 
 
 def cached_basis(tr: Truncation, grid: GridSpec, quad_order: int | None = None) -> np.ndarray:
     """Sampled basis of ``basis_matrix``, shared by every caller and therefore read-only."""
     key = (tr, grid, quad_order)
-    if key not in _BASIS_CACHE:
+    basis = _BASIS_CACHE.pop(key, None)
+    if basis is None:
         basis = basis_matrix(tr, grid, quad_order)
         basis.setflags(write=False)
-        _BASIS_CACHE[key] = basis
-    return _BASIS_CACHE[key]
+    _BASIS_CACHE[key] = basis
+    if len(_BASIS_CACHE) > _BASIS_CACHE_SIZE:
+        _BASIS_CACHE.popitem(last=False)
+    return basis
 
 
 @dataclass

@@ -18,6 +18,17 @@ from specherm.singularity import (
 )
 
 
+def direct_abel_sum(cfg, t):
+    """The per-term sum sum_{k=1}^{k_cut} k^z e^{-(tau + i t) k}: the reference for the blocked one."""
+    k = np.arange(1, cfg.k_cut + 1, dtype=float)
+    return complex(np.sum(k**cfg.z * np.exp(-(cfg.tau + 1j * t) * k)))
+
+
+def zeta_series(z, s, terms=40):
+    """sum_{m<terms} zeta(-z-m) (-s)^m / m!, the smooth part of Li_{-z}(e^{-s}) for |s| < 2 pi."""
+    return sum(zeta(-z - m) * (-s) ** m / math.factorial(m) for m in range(terms))
+
+
 class TestProbeConfig:
     def test_rejects_bad_z(self):
         with pytest.raises(ValueError):
@@ -44,6 +55,37 @@ class TestAbelSum:
         cfg = ProbeConfig(z=0.0, tau=1e-4, k_cut=350000)
         t = 0.3
         assert abel_sum(cfg, t) == pytest.approx(geometric_closed_form(cfg.tau, t), abs=1e-12)
+
+    @pytest.mark.parametrize("cfg", [
+        default_config(-0.5, 1e-4),
+        default_config(-0.3 + 0.2j, 1e-4),
+        default_config(0.0, 1e-4),
+        ProbeConfig(z=0.0, tau=1e-4, k_cut=240007),  # no multiple of the block length
+    ], ids=["z=-0.5", "z=-0.3+0.2i", "z=0", "z=0,k_cut=240007"])
+    def test_array_matches_direct_sum(self, cfg):
+        ts = np.array([-math.pi, -1.3, -0.05, 0.01, 0.3, 2.9, math.pi])
+        got = abel_sum(cfg, ts)
+        assert got.shape == ts.shape
+        want = np.array([direct_abel_sum(cfg, t) for t in ts])
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+
+    def test_cutoff_drops_exactly_the_terms_past_it(self):
+        # the tail past k_cut is below 1e-10 by construction, too small for the
+        # comparison above to see terms past k_cut summed in a partly filled block
+        ts = np.array([-math.pi, 0.3, 2.9])
+        short, long = (ProbeConfig(z=0.0, tau=1e-4, k_cut=k) for k in (240007, 240107))
+        k = np.arange(240008, 240108, dtype=float)
+        tail = np.exp(-(1e-4 + 1j * ts[:, None]) * k).sum(axis=1)
+        np.testing.assert_allclose(abel_sum(long, ts) - abel_sum(short, ts), tail, rtol=1e-3)
+
+    def test_scalar_t_is_the_array_entry(self):
+        cfg = default_config(-0.3 + 0.2j, 1e-4)
+        ts = np.array([-1.3, 0.3, 2.9])
+        arr = abel_sum(cfg, ts)
+        for t, a in zip(ts, arr):
+            got = abel_sum(cfg, float(t))
+            assert type(got) is complex
+            assert got == pytest.approx(a, rel=1e-12)
 
     def test_doubled_cutoff_oracle(self):
         tau = 1e-4
@@ -114,9 +156,17 @@ class TestRemainderProfile:
             cfg = default_config(z, tau)
             for t in np.linspace(0.01, 0.05, 5):
                 s = complex(tau, t)
-                series = sum(zeta(-z - m) * (-s) ** m / math.factorial(m) for m in range(30))
-                want = singular_term(z, t, tau) + series
+                want = singular_term(z, t, tau) + zeta_series(z, s, terms=30)
                 assert abel_sum(cfg, t) == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("tau", [1e-4, 1e-5])
+    def test_profile_matches_zeta_series_on_cli_grid(self, tau):
+        # the singularity subcommand's grid, far from the t -> 0 window above
+        z = -0.5
+        ts = tuple(np.linspace(0.2, math.pi - 0.2, 9))
+        prof = remainder_profile(default_config(z, tau, t_samples=ts))
+        want = np.array([zeta_series(z, complex(tau, t)) for t in prof.t_samples])
+        np.testing.assert_allclose(prof.remainder, want, rtol=1e-9, atol=0)
 
     def test_singular_term_growth_rate(self):
         # |singular_term| ~ |t|^{-Re z - 1} on the fit window

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specherm import twisted
 from specherm.grids import Field, default_half_width, inner_product, lp_norm, make_grid, zero_field
 from specherm.indices import MultiIndex, MultiIndexPair, enumerate_pairs
 from specherm.twisted import (
@@ -217,6 +218,20 @@ class TestTransforms:
         with pytest.raises(ValueError):
             f.values *= 0
         np.testing.assert_array_equal(cached_basis(tr4, grid4)[0], before)
+
+    def test_cached_basis_is_bounded_lru(self):
+        tr, grid = enumerate_pairs(1, 1), make_grid(1, 6.0, 16)
+        first = cached_basis(tr, grid)
+        assert cached_basis(tr, grid) is first  # a hit is the same object
+        assert not first.flags.writeable
+        for M in range(18, 18 + 2 * twisted._BASIS_CACHE_SIZE, 2):  # evicts (tr, grid)
+            cached_basis(tr, make_grid(1, 6.0, M))
+        assert len(twisted._BASIS_CACHE) == twisted._BASIS_CACHE_SIZE
+        rebuilt = cached_basis(tr, grid)
+        assert rebuilt is not first
+        np.testing.assert_array_equal(rebuilt, first)
+        assert not rebuilt.flags.writeable
+        assert cached_basis(tr, grid) is rebuilt
 
     def test_inverse_of_zero(self, tr4, grid4):
         c = SpectralCoeffs(tr4, np.zeros(len(tr4), dtype=complex))
