@@ -15,6 +15,12 @@ from functools import cached_property
 import numpy as np
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """Freeze an array cached on a grid: every caller of the grid shares it."""
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform tensor grid on [-L, L]^{2n} with trapezoidal weights."""
@@ -45,14 +51,14 @@ class GridSpec:
 
     @cached_property
     def axis(self) -> np.ndarray:
-        return np.linspace(-self.L, self.L, self.M)
+        return _read_only(np.linspace(-self.L, self.L, self.M))
 
     @cached_property
     def axis_weights(self) -> np.ndarray:
         w = np.full(self.M, self.spacing)
         w[0] *= 0.5
         w[-1] *= 0.5
-        return w
+        return _read_only(w)
 
     def zeta_coords(self) -> list[np.ndarray]:
         """Complex coordinate arrays z_j = x_j + i y_j, each of shape ``self.shape``.
@@ -68,7 +74,7 @@ class GridSpec:
         out = w
         for _ in range(2 * self.n - 1):
             out = np.multiply.outer(out, w)
-        return out
+        return _read_only(out)
 
 
 def make_grid(n: int, L: float, M: int) -> GridSpec:
@@ -144,7 +150,7 @@ class TimeGrid:
     @cached_property
     def nodes(self) -> np.ndarray:
         h = 2.0 * math.pi / self.n_t
-        return -math.pi + (np.arange(self.n_t) + 0.5) * h
+        return _read_only(-math.pi + (np.arange(self.n_t) + 0.5) * h)
 
     @property
     def weight(self) -> float:
@@ -152,7 +158,7 @@ class TimeGrid:
 
     @cached_property
     def weights(self) -> np.ndarray:
-        return np.full(self.n_t, self.weight)
+        return _read_only(np.full(self.n_t, self.weight))
 
 
 def make_time_grid(n_t: int) -> TimeGrid:

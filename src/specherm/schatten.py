@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 from scipy.special import gamma as _gamma
 
 from .grids import GridSpec, TimeGrid, mixed_norm
@@ -186,9 +185,10 @@ def t_z_schatten(z: complex, tr: Truncation, tg: TimeGrid, grid: GridSpec, r: fl
     """
     _, weights = _t_z_factors(z, tr, tg, grid, lambda_cut)
     basis = cached_basis(tr, grid).reshape(len(tr), -1)
-    evals, evecs = linalg.eigh((basis.conj() * grid.weight_tensor.ravel()) @ basis.T)
+    evals, evecs = np.linalg.eigh((basis.conj() * grid.weight_tensor.ravel()) @ basis.T)
     R = np.sqrt(np.maximum(evals, 0.0))[:, None] * evecs.conj().T
-    s = np.concatenate([linalg.svdvals((R * g) @ R.conj().T) for g in weights.T])
+    blocks = (R * weights.T[:, None, :]) @ R.conj().T  # (n_lam, pairs, pairs)
+    s = np.linalg.svd(blocks, compute_uv=False).ravel()
     rows = tg.n_t * grid.size
     return schatten_from_singular_values(s, r, (rows, rows))
 
@@ -204,21 +204,27 @@ def extension_gram_matrix(tr: Truncation, tg: TimeGrid, grid: GridSpec) -> np.nd
 def weighted_gram(w_samples: np.ndarray, tr: Truncation, tg: TimeGrid, grid: GridSpec) -> np.ndarray:
     """K(W) = A* |W|^2 A, the pairs x pairs Gram of the propagation frame weighted by |W|^2.
 
-    ``w_samples`` has shape (n_t, *grid.shape).  Each time node contributes
-    its weighted spatial Gram conj(B) diag(w_z |W_a|^2 / n_t) B^T, rotated by
-    the phases e^{i t_a (lambda_p - lambda_q)}; the frame A is never formed.
+    ``w_samples`` has shape (n_t, *grid.shape).  The time sum is taken
+    first: with c_d = sum_a e^{i t_a d} w_z |W_a|^2 / n_t, one row per
+    eigenvalue difference d, entry (p, q) is sum_z conj(B_p) c_{lambda_p - lambda_q} B_q.
+    The block row of the eigenspace lambda_i is therefore
+    conj(B_i) (B * c_{lambda_i - lambda})^T, so K costs one spatial Gram
+    rather than one per time node, and the frame A is never formed.
     """
     w = np.asarray(w_samples)
     if w.shape != (tg.n_t,) + grid.shape:
         raise ValueError("weight samples inconsistent with the time and space grids")
     basis = cached_basis(tr, grid).reshape(len(tr), -1)
-    bconj = basis.conj()
-    lam = np.array(tr.eigenvalues(), dtype=float)
+    lam = np.array(tr.eigenvalues())
+    levels = np.unique(lam)
+    diffs, index = np.unique(levels[:, None] - lam, return_inverse=True)
+    index = index.reshape(len(levels), len(lam))
     w2 = np.abs(w.reshape(tg.n_t, -1)) ** 2 * (grid.weight_tensor.ravel() / tg.n_t)
-    K = np.zeros((len(tr), len(tr)), dtype=complex)
-    for t, w2a in zip(tg.nodes, w2):
-        phase = np.exp(1j * t * lam)
-        K += np.outer(phase, phase.conj()) * ((bconj * w2a) @ basis.T)
+    c = np.exp(1j * np.outer(diffs, tg.nodes)) @ w2  # (n_diffs, n_space)
+    K = np.empty((len(tr), len(tr)), dtype=complex)
+    for level, row in zip(levels, index):
+        block = lam == level
+        K[block] = basis[block].conj() @ (basis * c[row]).T
     return K
 
 
@@ -231,7 +237,7 @@ def sandwich_schatten(w_samples: np.ndarray, tr: Truncation, tg: TimeGrid, grid:
     """
     rows = tg.n_t * grid.size
     K = weighted_gram(w_samples, tr, tg, grid)
-    return schatten_from_singular_values(linalg.eigvalsh(K), r, (rows, rows))
+    return schatten_from_singular_values(np.linalg.eigvalsh(K), r, (rows, rows))
 
 
 @dataclass
@@ -281,7 +287,7 @@ def duality_check(
     density_ratios = []
     skipped = 0
     for w in weights:
-        evals, evecs = linalg.eigh(weighted_gram(w, tr, tg, grid))
+        evals, evecs = np.linalg.eigh(weighted_gram(w, tr, tg, grid))
         wn = mixed_norm(w, tg, grid, *w_exponents, measure="dt/2pi")
         if wn == 0.0:
             skipped += 1
@@ -328,7 +334,7 @@ def matched_system(tr: Truncation, tg: TimeGrid, grid: GridSpec, w_samples: np.n
     Pairing the density against |W|^2 then saturates the Schatten bound, so
     the two duality constants can be compared without a search.
     """
-    evals, evecs = linalg.eigh(weighted_gram(w_samples, tr, tg, grid))
+    evals, evecs = np.linalg.eigh(weighted_gram(w_samples, tr, tg, grid))
     return _system_from_eigh(evals, evecs, alpha, n_modes)
 
 

@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg
 
 from .grids import ExponentPair, GridSpec, TimeGrid, make_time_grid, mixed_norm
 from .indices import Truncation
@@ -85,7 +84,7 @@ def sample_orthonormal_system(tr: Truncation, N: int, seed: int) -> OrthonormalS
     g = rng.standard_normal((len(tr), N)) + 1j * rng.standard_normal((len(tr), N))
     # column k of Q is column k of g orthogonalized against the previous ones,
     # up to a unit phase that no density sum_j n_j |u_j|^2 sees
-    q = linalg.qr(g, mode="economic")[0]
+    q = np.linalg.qr(g, mode="reduced")[0]
     return OrthonormalSystem(truncation=tr, coeffs=q, seed=seed)
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -10,6 +13,15 @@ from specherm.singularity import abel_sum, default_config
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # numpy.linalg and scipy.linalg link different OpenBLAS builds, whose two
+    # thread pools contend when one process drives both
+    probe = "import sys, specherm.cli; print('scipy.linalg' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 class TestUsage:

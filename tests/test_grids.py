@@ -96,6 +96,28 @@ class TestLpNorm:
         assert lp_norm(_phi00(grid4), 1) > 0.0
 
 
+class TestCachedArraysReadOnly:
+    @pytest.mark.parametrize(
+        "owner, name",
+        [
+            (make_grid(2, 5.0, 8), "axis"),
+            (make_grid(2, 5.0, 8), "axis_weights"),
+            (make_grid(2, 5.0, 8), "weight_tensor"),
+            (make_time_grid(8), "nodes"),
+            (make_time_grid(8), "weights"),
+        ],
+    )
+    def test_in_place_write_raises(self, owner, name):
+        # every caller of a grid shares its cached arrays
+        shared = getattr(owner, name)
+        before = shared.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            shared[...] *= 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            shared.ravel()[0] = 0.0
+        assert np.array_equal(getattr(owner, name), before)
+
+
 class TestTimeGrid:
     def test_nodes_avoid_zero_and_endpoints(self):
         tg = make_time_grid(32)

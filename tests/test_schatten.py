@@ -27,7 +27,7 @@ from specherm.schatten import (
     t_z_schatten,
     weighted_gram,
 )
-from specherm.strichartz import CoefficientVector, OrthonormalSystem, density
+from specherm.strichartz import CoefficientVector, OrthonormalSystem, density, sample_orthonormal_system
 from specherm.twisted import SpectralCoeffs, cached_basis, inverse_transform
 
 
@@ -64,6 +64,29 @@ def dense_frame(tr, tg, grid):
         c = SpectralCoeffs(tr, e)
         cols.append(np.concatenate([propagate(c, float(t), grid=grid).values.ravel() for t in tg.nodes]))
     return np.stack(cols, axis=1) * sqrtw[:, None]
+
+
+@pytest.fixture(scope="module")
+def kmax4_setup():
+    tr = enumerate_pairs(1, 4)
+    grid = make_grid(1, default_half_width(1, 4), 48)
+    tg = make_time_grid(16)
+    return tr, tg, grid
+
+
+def node_loop_gram(W, tr, tg, grid):
+    """K(W) summed one time node at a time: the weighted spatial Gram
+    conj(B) diag(w_z |W_a|^2 / n_t) B^T of node t_a, rotated by the phases
+    e^{i t_a (lambda_p - lambda_q)}.  The reference for the time-Fourier form.
+    """
+    basis = cached_basis(tr, grid).reshape(len(tr), -1)
+    lam = np.array(tr.eigenvalues(), dtype=float)
+    w2 = np.abs(W.reshape(tg.n_t, -1)) ** 2 * (grid.weight_tensor.ravel() / tg.n_t)
+    K = np.zeros((len(tr), len(tr)), dtype=complex)
+    for t, w2a in zip(tg.nodes, w2):
+        phase = np.exp(1j * t * lam)
+        K += np.outer(phase, phase.conj()) * ((basis.conj() * w2a) @ basis.T)
+    return K
 
 
 @pytest.fixture(scope="module")
@@ -189,6 +212,34 @@ class TestWeightedGram:
         want = A.conj().T @ (np.abs(W.reshape(-1, 1)) ** 2 * A)
         got = weighted_gram(W, tr, tg, grid)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("setup", ["kmax4_setup", "n2_setup"])
+    def test_matches_node_loop(self, setup, request):
+        tr, tg, grid = request.getfixturevalue(setup)
+        W = gaussian_weight(tg, grid, seed=9)
+        want = node_loop_gram(W, tr, tg, grid)
+        got = weighted_gram(W, tr, tg, grid)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("system", ["matched", "random"])
+    def test_density_pairing_identity(self, system):
+        # int int rho_gamma |W|^2 dt/2pi dz = sum_j n_j (U^H K(W) U)_jj exactly on
+        # the quadrature, at criterion 10's discretization: ties the density
+        # synthesis to the weighted Gram
+        tr = enumerate_pairs(1, 6)
+        tg = make_time_grid(16)
+        grid = make_grid(1, default_half_width(1, 6), 48)
+        W = random_smoothed_weight(tg, grid, seed=0)
+        if system == "matched":
+            U, nj = matched_system(tr, tg, grid, W, alpha=4.0)
+        else:
+            U = sample_orthonormal_system(tr, 12, seed=1).coeffs
+            nj = np.random.default_rng(1).uniform(0.1, 1.0, 12)
+        rho = density(OrthonormalSystem(tr, U), CoefficientVector(nj), tg, grid)
+        lhs = np.sum(rho * np.abs(W) ** 2 * grid.weight_tensor) / tg.n_t
+        K = weighted_gram(W, tr, tg, grid)
+        rhs = np.sum(nj * np.einsum("pj,pq,qj->j", U.conj(), K, U).real)
+        assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
 
     @pytest.mark.parametrize("setup", ["small_setup", "n2_setup"])
     def test_sandwich_spectrum_matches_factor_svd(self, setup, request):
