@@ -11,7 +11,7 @@ the remaining polynomial integrand.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -154,12 +154,10 @@ def basis_matrix(tr: Truncation, grid, quad_order: int | None = None) -> np.ndar
         quad_order = needed
     elif quad_order < needed:
         raise InsufficientQuadratureError(f"quad_order={quad_order} below required {needed}")
-    # one 1D table T[mu, nu, point] per coordinate, multiplied across coordinates
-    tables = [_sh1d_table(tr.k_max, zj.real, zj.imag, quad_order) for zj in grid.zeta_coords()]
+    # one 1D table T[mu, nu, x, y] on the M x M plane; Phi_{mu nu} is the outer product of n of its entries
+    x, y = np.meshgrid(grid.axis, grid.axis, indexing="ij")
+    table = _sh1d_table(tr.k_max, x, y, quad_order)
     out = np.empty((len(tr),) + grid.shape, dtype=complex)
     for i, pair in enumerate(tr.index_set):
-        acc = tables[0][pair.mu.entries[0], pair.nu.entries[0]]
-        for j in range(1, tr.n):
-            acc = acc * tables[j][pair.mu.entries[j], pair.nu.entries[j]]
-        out[i] = acc
+        out[i] = reduce(np.multiply.outer, [table[m, v] for m, v in zip(pair.mu.entries, pair.nu.entries)])
     return out

@@ -105,9 +105,6 @@ class Field:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field values must be finite")
 
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy())
-
 
 def sample_field(grid: GridSpec, fn) -> Field:
     """Sample ``fn(z_1, ..., z_n)`` (complex coordinate arrays) on the grid."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Field, GridSpec, TimeGrid, sample_field
+from .grids import Field, GridSpec, TimeGrid, make_grid, sample_field
 from .indices import Truncation
 from .twisted import SpectralCoeffs, cached_basis, forward_transform, inverse_transform, twisted_convolve
 
@@ -86,9 +86,12 @@ def evolve_spectral(c: SpectralCoeffs, eta: ComplexTime) -> SpectralCoeffs:
 
 
 def evolve_kernel(f: Field, eta: ComplexTime) -> Field:
-    """Semigroup applied through the closed-form kernel (twisted convolution path)."""
-    kernel = mehler_kernel_field(eta, f.grid)
-    return twisted_convolve(f, kernel)
+    """Semigroup applied through the closed-form kernel (twisted convolution path).
+
+    The kernel is the product of n one-coordinate kernels, K_eta(z) = K_eta(z_1) ... K_eta(z_n).
+    """
+    kernel = mehler_kernel_field(eta, make_grid(1, f.grid.L, f.grid.M))
+    return twisted_convolve(f, (kernel,) * f.grid.n)
 
 
 def propagate_coeffs(c: SpectralCoeffs, t: float) -> SpectralCoeffs:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma as _gamma
 
-from .grids import GridSpec, TimeGrid, mixed_norm
+from .grids import GridSpec, TimeGrid, make_grid, mixed_norm
 from .indices import MultiIndex, MultiIndexPair, Truncation
 from .propagator import ComplexTime, mehler_kernel_field, propagate_samples
 from .strichartz import CoefficientVector, OrthonormalSystem, density
@@ -322,8 +322,8 @@ def random_smoothed_weight(tg: TimeGrid, grid: GridSpec, seed: int) -> np.ndarra
     """
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((tg.n_t,) + grid.shape) + 1j * rng.standard_normal((tg.n_t,) + grid.shape)
-    kernel = mehler_kernel_field(ComplexTime(0.2, 0.0), grid)
-    smooth = twisted_convolve_batch(raw, kernel)
+    kernel = mehler_kernel_field(ComplexTime(0.2, 0.0), make_grid(1, grid.L, grid.M))
+    smooth = twisted_convolve_batch(raw, (kernel,) * grid.n)
     norm = mixed_norm(smooth, tg, grid, 4.0, 4.0, measure="dt/2pi")
     return smooth / norm
 

@@ -1,8 +1,11 @@
 """Twisted convolution, the two-index spectral transform, and the operator itself.
 
-The convolution is a direct quadrature sum in factorized form.  Grid
-differences z_i - w_j fall on a lattice offset by half a spacing from the
-sample lattice (the axes have an even point count), so the first factor is
+The convolution is a direct quadrature sum by one n = 1 kernel.  Every g
+convolved with here is a product over the complex coordinates, as is the
+phase exp((i/2) Im(z . conj(w))), so an n >= 2 convolution is n passes of
+that kernel, one per coordinate, the others in the batch.  Grid differences
+z_i - w_j fall on a lattice offset by half a spacing from the sample
+lattice (the axes have an even point count), so the first factor is
 resampled once onto that difference lattice with an FFT phase shift; the
 fields handled here decay like exp(-|z|^2/4), which makes both the
 periodization and the zero-extension outside the domain negligible.
@@ -16,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import basis_matrix, phi_k as _phi_k_point
-from .grids import Field, GridSpec, sample_field
-from .indices import Truncation
+from .grids import Field, GridSpec, make_grid, sample_field
+from .indices import Truncation, multi_indices
 
 # bases kept, least recently used evicted first: one n = 2 basis at M = 24 is 191 MB
 _BASIS_CACHE_SIZE = 4
@@ -51,93 +54,88 @@ class SpectralCoeffs:
         if not np.all(np.isfinite(self.coeffs)):
             raise ValueError("coefficients must be finite")
 
-    def copy(self) -> "SpectralCoeffs":
-        return SpectralCoeffs(self.truncation, self.coeffs.copy())
-
 
 def _difference_samples(values: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Each field of ``values`` (B, *grid.shape) on the difference lattice, times exp(-(i/2) u.v).
+    """Each field of ``values`` (B, M, M) on the difference lattice, times exp(-(i/2) u v).
 
-    Every axis is zero-padded to 2M, shifted half an index by a Fourier phase
+    Both axes are zero-padded to 2M, shifted half an index by a Fourier phase
     and cut to {k h : |k| <= M-1} (index k + M - 1), whose x and y coordinates are u and v.
     """
-    M, n = grid.M, grid.n
+    M = grid.M
     # offset M/2 into the padding (exactly (-i)^k, M being even), then half an index
     shift = np.array([1, -1j, -1, 1j])[np.arange(2 * M) % 4] * np.exp(1j * np.pi * np.fft.fftfreq(2 * M))
     lattice = np.arange(1 - M, M) * grid.spacing
-    chirp = np.exp(-0.5j * np.outer(lattice, lattice))
-    out = values
-    for axis in range(1, 2 * n + 1):
-        shape = [1] * out.ndim
-        shape[axis] = 2 * M
-        out = np.fft.ifft(np.fft.fft(out, n=2 * M, axis=axis) * shift.reshape(shape), axis=axis)
-        out = out[(slice(None),) * axis + (slice(0, 2 * M - 1),)]
-    for c in range(n):
-        out = out * np.expand_dims(chirp, [a for a in range(2 * n + 1) if a not in (1 + 2 * c, 2 + 2 * c)])
+    out = np.fft.ifft(np.fft.fft(values, n=2 * M, axis=1) * shift[:, None], axis=1)[:, : 2 * M - 1]
+    out = np.fft.ifft(np.fft.fft(out, n=2 * M, axis=2) * shift, axis=2)[:, :, : 2 * M - 1]
+    return out * np.exp(-0.5j * np.outer(lattice, lattice))
+
+
+def _convolve_plane(values: np.ndarray, g: Field) -> np.ndarray:
+    """The n = 1 kernel: twisted convolution of each field of ``values`` (B, M, M) with g."""
+    grid, M = g.grid, g.grid.M
+    phase = np.exp(0.5j * np.outer(grid.axis, grid.axis))  # exp((i/2) a b) for axis points a, b
+    ghat = np.fft.fft(g.values * grid.weight_tensor * phase * np.conj(phase[:, None]) ** 2, n=2 * M, axis=-1)
+    ghat = np.ascontiguousarray(ghat[:, ::-1].transpose(0, 2, 1))  # [x_z, k, w], x_w = M-1-w
+    fd = _difference_samples(values, grid)
+    fhat = np.moveaxis(np.fft.fft(fd, n=2 * M, axis=-1), -1, 0).copy()  # [k, b, x diff]
+    sums = np.empty((M, 2 * M, len(fd)), dtype=complex)  # [x_z, k, b]
+    for i in range(M):
+        # f at x_z - x_w for x_w = M-1-w: the M differences from x_z's own index on
+        sums[i] = (fhat[:, :, i : i + M] @ ghat[i, :, :, None])[..., 0]
+    out = np.fft.ifft(sums.transpose(2, 0, 1), axis=-1)
+    return out[..., M - 1 : 2 * M - 1] * phase  # the output window of the y axis
+
+
+# complex entries of the batch given to one kernel call: each one-coordinate
+# field passes through difference-lattice spectra several times its size
+_CHUNK_ENTRIES = 2**18
+
+
+def twisted_convolve_batch(values: np.ndarray, g) -> np.ndarray:
+    """Twisted convolution of each field in ``values`` (shape (B, *grid.shape)) with g.
+
+    g = g_1(z_1) ... g_n(z_n) is given by the tuple of its factors on the
+    one-coordinate grid ``make_grid(1, L, M)``; at n = 1 a lone Field also
+    does.  The phase and the quadrature split over the coordinates, so pass j
+    convolves every (x_j, y_j) plane of the batch with g_j, at most
+    ``_CHUNK_ENTRIES`` entries per kernel call.
+
+    In a plane, with u = x_z - x_w and v = y_z - y_w the phase splits as
+    y_z x_w - x_z y_w = x_z y_z - u v - y_w (2 x_z - x_w): a factor of the
+    output point, one of the difference (taken into f) and one of the output
+    x and the point w (taken into g).  For a fixed output x the sum over w is
+    a sum over x_w of y-convolutions: in y-frequency space (FFTs of length
+    2M, which keep wrap-around off the output window) one matrix product per
+    frequency, then one inverse FFT.  A plane costs O(M^3), a call O(n B M^{2n+1}).
+    """
+    factors = (g,) if isinstance(g, Field) else tuple(g)
+    grid = factors[0].grid
+    if grid.n != 1:
+        raise ValueError("an n >= 2 g is given by its n factors on the one-coordinate grid")
+    M, n = grid.M, len(factors)
+    if any(h.grid != grid for h in factors) or np.shape(values)[1:] != (M,) * (2 * n):
+        raise ValueError("fields live on different grids")
+    out, step = np.asarray(values), max(1, _CHUNK_ENTRIES // (M * M))
+    for j, factor in enumerate(factors):
+        planes = np.moveaxis(out, (1 + 2 * j, 2 + 2 * j), (-2, -1))
+        flat = planes.reshape(-1, M, M)
+        if len(flat) <= step:  # the kernel's own output and memory layout, as for every n = 1 weight
+            done = _convolve_plane(flat, factor)
+        else:
+            done = np.empty(flat.shape, dtype=complex)
+            for start in range(0, len(flat), step):
+                done[start : start + step] = _convolve_plane(flat[start : start + step], factor)
+        out = np.moveaxis(done.reshape(planes.shape), (-2, -1), (1 + 2 * j, 2 + 2 * j))
     return out
 
 
-# complex entries per chunk of output x rows: bounds the g-side spectra held at once
-_CHUNK_ENTRIES = 2**15
-
-
-def _y_spectrum(a: np.ndarray, M: int, n: int) -> np.ndarray:
-    """FFT of length 2M along each of the n trailing (y) axes, zero-padding them."""
-    for axis in range(-n, 0):
-        a = np.fft.fft(a, n=2 * M, axis=axis)
-    return a
-
-
-def twisted_convolve_batch(values: np.ndarray, g: Field) -> np.ndarray:
-    """Twisted convolution of each field in ``values`` (shape (B, *grid.shape)) with g.
-
-    With u = x_z - x_w and v = y_z - y_w the phase splits as
-    y_z.x_w - x_z.y_w = x_z.y_z - u.v - y_w.(2 x_z - x_w): a factor of the
-    output point, one of the difference (taken into f) and one of the output
-    x and the point w (taken into g).  For a fixed output x multi-index the
-    sum over w is then a sum over x_w of y-convolutions.  In y-frequency
-    space (FFTs of length 2M per y axis; 2M - 1 points already keep
-    wrap-around off the output window) that sum is one matrix product per
-    frequency, followed by one inverse FFT per output x row.  The g-side
-    spectra, O(M^{3n} log M), are computed once per chunk of output x rows
-    and shared by the whole batch; each field then costs O(M^{3n}).
-    """
-    grid = g.grid
-    if np.shape(values)[1:] != grid.shape:
-        raise ValueError("fields live on different grids")
-    M, n = grid.M, grid.n
-    K = (2 * M) ** n  # y frequencies
-    xy = [0] + [1 + a for a in (*range(0, 2 * n, 2), *range(1, 2 * n, 2))]  # batch, x axes, y axes
-    ix = np.indices((M,) * n).reshape(n, -1)  # flat x multi-index -> coordinates
-    plus = np.exp(0.5j * np.outer(grid.axis, grid.axis))
-    # exp((i/2) x_a . x_b) for flat x multi-indices a, b, shaped [a, *b]
-    phase = np.prod(plus[ix[:, :, None], ix[:, None, :]], axis=0).reshape((M**n,) + (M,) * n)
-    gw = (g.values * grid.weight_tensor)[None].transpose(xy).reshape(phase.shape) * phase
-    fd = _difference_samples(values, grid).transpose(xy)
-    fhat = np.moveaxis(_y_spectrum(fd, M, n).reshape(fd.shape[: n + 1] + (K,)), -1, 0).copy()  # [k, b, *x diff]
-    sums = np.empty((M**n, K, len(fd)), dtype=complex)  # [ix, k, b]
-    step = max(1, _CHUNK_ENTRIES // (M**n * K))
-    for start in range(0, M**n, step):
-        rows = slice(start, start + step)
-        ghat = _y_spectrum(gw * np.conj(phase[rows, None]) ** 2, M, n).reshape(-1, M**n, K)
-        ghat = np.ascontiguousarray(ghat[:, ::-1].transpose(0, 2, 1))  # [ix, k, w], jx = M-1-w per coordinate
-        for r, i in enumerate(range(M**n)[rows]):
-            # f at x_z - x_w for jx = M-1-w: the M differences from x_z's own index on, per coordinate
-            window = fhat[(slice(None),) * 2 + tuple(slice(c, c + M) for c in ix[:, i])]
-            sums[i] = (window.reshape(K, -1, M**n) @ ghat[r, :, :, None])[..., 0]
-    out = np.fft.ifftn(sums.transpose(2, 0, 1).reshape((-1, M**n) + (2 * M,) * n), axes=range(-n, 0))
-    out = out[(Ellipsis,) + (slice(M - 1, 2 * M - 1),) * n] * phase  # the output window of each y axis
-    return out.reshape((-1,) + (M,) * (2 * n)).transpose(np.argsort(xy))
-
-
-def twisted_convolve(f: Field, g: Field) -> Field:
+def twisted_convolve(f: Field, g) -> Field:
     """Oscillatory convolution f x g with phase exp((i/2) Im(z . conj(w))).
 
-    Direct quadrature at desk scale (see ``twisted_convolve_batch``); values
-    of f outside the domain are taken as zero (the fields of interest have
-    Gaussian decay).
+    g is as in ``twisted_convolve_batch``; values of f outside the domain are
+    taken as zero (the fields of interest have Gaussian decay).
     """
-    if f.grid != g.grid:
+    if (g if isinstance(g, Field) else g[0]).grid.L != f.grid.L:
         raise ValueError("fields live on different grids")
     return Field(f.grid, twisted_convolve_batch(f.values[None], g)[0])
 
@@ -169,10 +167,11 @@ def project_k(f: Field, k: int, tr: Truncation | None = None, method: str = "con
     """
     n = f.grid.n
     if method == "convolution":
-        return Field(
-            f.grid,
-            (2.0 * math.pi) ** (-n) * twisted_convolve(f, phi_k_field(k, f.grid)).values,
-        )
+        # phi_k = sum over k_1 + ... + k_n = k of phi_{k_1}(z_1) ... phi_{k_n}(z_n)
+        plane = make_grid(1, f.grid.L, f.grid.M)
+        parts = [twisted_convolve(f, tuple(phi_k_field(kj, plane) for kj in nu.entries)).values
+                 for nu in multi_indices(n, k) if nu.degree == k]
+        return Field(f.grid, (2.0 * math.pi) ** (-n) * sum(parts))
     if method == "spectral":
         if tr is None:
             raise ValueError("spectral projection needs a truncation")

@@ -12,7 +12,7 @@ from specherm.basis import (
     phi_k,
     special_hermite,
 )
-from specherm.grids import make_grid
+from specherm.grids import default_half_width, make_grid
 from specherm.indices import MultiIndex, MultiIndexPair, Truncation, enumerate_pairs, multi_indices
 
 
@@ -98,6 +98,19 @@ class TestSpecialHermite:
             special_hermite(pair([4], [4]), 0.0, quad_order=10)
         with pytest.raises(InsufficientQuadratureError):
             basis_matrix(enumerate_pairs(1, 4), make_grid(1, 6.0, 16), quad_order=10)
+
+
+class TestBasisMatrix:
+    def test_n2_outer_products_match_pointwise_values(self):
+        # outer products of the one-coordinate table on the M x M plane against
+        # special_hermite evaluated at each of the M^4 grid points on its own
+        tr = enumerate_pairs(2, 2)
+        grid = make_grid(2, default_half_width(2, 2), 10)
+        points = np.stack(grid.zeta_coords(), axis=-1)
+        want = np.stack([special_hermite(p, points) for p in tr.index_set])
+        got = basis_matrix(tr, grid)
+        assert got.shape == (len(tr),) + grid.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestPhiK:

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -168,6 +169,23 @@ class TestCommands:
         result = runner.invoke(main, ["duality-check", "--trials", "4", "--nt", "12", "--grid-m", "40"])
         assert result.exit_code == 0, result.output
         assert "[PASS] constants-comparable" in result.output
+
+    @pytest.mark.parametrize("command, exit_code, want", [
+        ("schatten-bound", 0, {"max_ratio": 0.005436551806521211, "median_ratio": 0.005253991252385489,
+                               "rows": [[0, 0.005071430698249766], [1, 0.005436551806521211]]}),
+        ("duality-check", 1, {"max_sandwich_ratio": 0.005436551806521214, "max_density_ratio": 0.08644981933723947,
+                              "factor": 15.901590275207495, "skipped": 0}),
+    ])
+    def test_n2_weights_keep_their_numbers(self, runner, tmp_path, command, exit_code, want):
+        # n = 2 random weights, smoothed by one pass of the n = 1 kernel per coordinate; the
+        # numbers are those of the convolution on the whole n = 2 grid that the passes replaced
+        out = tmp_path / "n2.json"
+        args = [command, "--n", "2", "--kmax", "1", "--grid-m", "10", "--nt", "4", "--trials", "2"]
+        result = runner.invoke(main, [*args, "--out", str(out)])
+        assert result.exit_code == exit_code, result.output
+        payload = json.loads(out.read_text())
+        for key, value in want.items():
+            np.testing.assert_allclose(payload[key], value, rtol=1e-12, atol=0, err_msg=key)
 
     def test_failed_check_exits_one_with_stderr(self, runner):
         # a half-width of 3 cuts off the k_max = 4 modes: neither identity holds

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from specherm.grids import Field, lp_norm
+from specherm import checks
+from specherm.grids import Field, default_half_width, lp_norm, make_grid
+from specherm.indices import enumerate_pairs
 from specherm.indices import MultiIndex, MultiIndexPair
 from specherm.propagator import (
     ComplexTime,
@@ -12,6 +14,7 @@ from specherm.propagator import (
     evolve_kernel,
     evolve_spectral,
     mehler_kernel,
+    mehler_kernel_field,
     propagate,
     propagate_coeffs,
 )
@@ -93,6 +96,16 @@ class TestEvolveSpectral:
         np.testing.assert_allclose(one.coeffs, two.coeffs, rtol=1e-12)
 
 
+class TestMehlerKernelField:
+    def test_n2_is_outer_product_of_n1(self):
+        eta = ComplexTime(0.3, 0.7)
+        grid = make_grid(2, 5.0, 10)
+        one = mehler_kernel_field(eta, make_grid(1, 5.0, 10)).values
+        want = np.multiply.outer(one, one)
+        got = mehler_kernel_field(eta, grid).values
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
 class TestEvolveKernel:
     def test_agrees_with_spectral_path(self, tr4, grid4):
         c = random_coeffs(tr4, seed=3)
@@ -113,6 +126,14 @@ class TestEvolveKernel:
 
         out = evolve_kernel(zero_field(grid4), ComplexTime(0.4, 0.0))
         assert np.abs(out.values).max() == 0.0
+
+    def test_n2_kernel_vs_spectral_passes_at_m32(self):
+        # the first n = 2 end-to-end check: the kernel path as one n = 1 pass per coordinate,
+        # the spectral path through the n = 2 basis; M = 24 still misses the bound (3.8e-6)
+        tr = enumerate_pairs(2, 1)
+        grid = make_grid(2, default_half_width(2, 1), 32)
+        result = checks.kernel_vs_spectral(random_coeffs(tr, seed=0), grid, ComplexTime(0.5, 0.3))
+        assert result.passed, result.detail
 
 
 class TestPropagate:

@@ -79,6 +79,12 @@ def random_fields(grid, count, seed):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def random_factors(grid, seed):
+    """n random fields on the one-coordinate grid: the factors of g = g_1 (x) ... (x) g_n."""
+    plane = make_grid(1, grid.L, grid.M)
+    return tuple(Field(plane, v) for v in random_fields(plane, grid.n, seed))
+
+
 def max_rel(got, want):
     return float(np.abs(got - want).max() / np.abs(want).max())
 
@@ -116,7 +122,10 @@ class TestTwistedConvolve:
         def pair(mu, nu):
             return tr.position(MultiIndexPair(MultiIndex(mu), MultiIndex(nu)))
 
-        g = Field(grid, basis[pair((1, 0), (0, 1))])
+        # g = Phi_{(1,0)(0,1)} = Phi_10 (x) Phi_01, passed as its two one-coordinate factors
+        plane, tr1 = make_grid(1, 7.0, 16), enumerate_pairs(1, 1)
+        g = (mode(tr1, plane, 1, 0), mode(tr1, plane, 0, 1))
+        np.testing.assert_array_equal(np.multiply.outer(g[0].values, g[1].values), basis[pair((1, 0), (0, 1))])
         matched, unmatched = pair((0, 1), (1, 0)), pair((0, 0), (0, 1))
         got = twisted_convolve_batch(basis[[matched, unmatched]], g)
         assert np.abs(got[0] - 2 * math.pi * basis[pair((0, 1), (0, 1))]).max() < 1e-3
@@ -134,21 +143,42 @@ class TestTwistedConvolve:
         assert max_rel(twisted_convolve(f, g).values, gather_reference(f, g)) < 1e-12
 
     def test_n2_matches_reference(self):
+        # n = 2, g = g_1 (x) g_2: one n = 1 pass per coordinate against the gather over the product field
         tr = enumerate_pairs(2, 1)
         grid = make_grid(2, default_half_width(2, 1), 8)
-        f, g = (random_band_limited(tr, grid, seed=s)[1] for s in (3, 4))
-        assert max_rel(twisted_convolve(f, g).values, gather_reference(f, g)) < 1e-12
+        f = random_band_limited(tr, grid, seed=3)[1]
+        g = random_factors(grid, seed=4)
+        got = twisted_convolve(f, g).values
+        assert max_rel(got, gather_reference(f, Field(grid, np.multiply.outer(g[0].values, g[1].values)))) < 1e-12
 
     @pytest.mark.parametrize("n, M", [(1, 24), (2, 8)])
     def test_batch_equals_single_calls(self, n, M):
         grid = make_grid(n, 6.0, M)
         values = random_fields(grid, 3, seed=5)
-        g = Field(grid, random_fields(grid, 1, seed=6)[0])
+        g = random_factors(grid, seed=6)
         batch = twisted_convolve_batch(values, g)
         assert batch.shape == values.shape
         for v, got in zip(values, batch):
             # the batch changes only the order of the frequency-space sums (BLAS)
             assert max_rel(got, twisted_convolve(Field(grid, v), g).values) < 1e-12
+
+    def test_n2_chunked_batch_equals_one_chunk(self, monkeypatch):
+        # chunks of 5 planes split the 3 x 64 planes of each coordinate pass unevenly
+        grid = make_grid(2, 6.0, 8)
+        values = random_fields(grid, 3, seed=7)
+        g = random_factors(grid, seed=8)
+        whole = twisted_convolve_batch(values, g)
+        monkeypatch.setattr(twisted, "_CHUNK_ENTRIES", 5 * 8 * 8)
+        assert max_rel(twisted_convolve_batch(values, g), whole) < 1e-12
+
+    def test_n2_field_kernel_rejected(self):
+        # an n >= 2 g is given by its one-coordinate factors, never as a field on the n = 2 grid
+        grid = make_grid(2, 6.0, 8)
+        g = Field(grid, random_fields(grid, 1, seed=9)[0])
+        with pytest.raises(ValueError, match="one-coordinate"):
+            twisted_convolve(zero_field(grid), g)
+        with pytest.raises(ValueError, match="one-coordinate"):
+            twisted_convolve_batch(np.zeros((2,) + grid.shape), g)
 
     def test_grid_mismatch(self, grid4):
         other = make_grid(1, grid4.L, grid4.M + 2)
@@ -156,6 +186,8 @@ class TestTwistedConvolve:
             twisted_convolve(zero_field(grid4), zero_field(other))
         with pytest.raises(ValueError):
             twisted_convolve_batch(np.zeros((2,) + other.shape), zero_field(grid4))
+        with pytest.raises(ValueError):  # same M, other half-width
+            twisted_convolve(zero_field(grid4), zero_field(make_grid(1, grid4.L + 1.0, grid4.M)))
 
 
 class TestConvolutionProperties:
@@ -263,6 +295,16 @@ class TestProjections:
         _, f = random_band_limited(tr4, grid4, seed=8)
         via_conv = project_k(f, 1, method="convolution")
         via_spec = project_k(f, 1, tr=tr4, method="spectral")
+        assert np.abs(via_conv.values - via_spec.values).max() < 1e-6
+
+    def test_n2_convolution_and_spectral_paths_agree(self):
+        # phi_1 at n = 2 is phi_1 (x) phi_0 + phi_0 (x) phi_1: one convolution per term; M = 32 is
+        # the grid on which the n = 2 kernel path meets 1e-6 (see the kernel-vs-spectral check)
+        tr = enumerate_pairs(2, 1)
+        grid = make_grid(2, default_half_width(2, 1), 32)
+        _, f = random_band_limited(tr, grid, seed=8)
+        via_conv = project_k(f, 1, method="convolution")
+        via_spec = project_k(f, 1, tr=tr, method="spectral")
         assert np.abs(via_conv.values - via_spec.values).max() < 1e-6
 
     def test_phi_k_field_gaussian(self, grid4):
