@@ -172,7 +172,7 @@ def mixed_norm(
     may be inf; the inf cases are explicit branches rather than
     large-exponent limits so golden values are bit-stable.
     """
-    values = np.asarray(values)
+    values = np.ascontiguousarray(values)  # one memory layout, one summation order: bit-stable norms
     if values.shape != (tg.n_t,) + grid.shape:
         raise ValueError(f"shape {values.shape} inconsistent with time/space grids")
     if p < 1 or q < 1:

@@ -8,7 +8,10 @@ graded-lexicographic order so that matrix layouts are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -77,8 +80,15 @@ class Truncation:
     def position(self, pair: MultiIndexPair) -> int:
         return self.index_set.index(pair)
 
-    def eigenvalues(self) -> list[int]:
-        return [p.eigenvalue() for p in self.index_set]
+    def eigenvalues(self) -> np.ndarray:
+        """Eigenvalue 2|nu| + n of every pair, in order: one read-only array shared by every caller."""
+        return self._eigenvalues
+
+    @cached_property
+    def _eigenvalues(self) -> np.ndarray:
+        lam = np.array([p.eigenvalue() for p in self.index_set], dtype=np.int64)
+        lam.setflags(write=False)
+        return lam
 
 
 def enumerate_pairs(n: int, k_max: int) -> Truncation:

@@ -81,8 +81,7 @@ def mehler_kernel_field(eta: ComplexTime, grid: GridSpec) -> Field:
 
 def evolve_spectral(c: SpectralCoeffs, eta: ComplexTime) -> SpectralCoeffs:
     """Diagonal action: each coefficient is damped/rotated by e^{-eta (2|nu| + n)}."""
-    lam = np.array(c.truncation.eigenvalues(), dtype=float)
-    return SpectralCoeffs(c.truncation, c.coeffs * np.exp(-eta.eta * lam))
+    return SpectralCoeffs(c.truncation, c.coeffs * np.exp(-eta.eta * c.truncation.eigenvalues()))
 
 
 def evolve_kernel(f: Field, eta: ComplexTime) -> Field:
@@ -117,6 +116,31 @@ def propagate(u, t: float, tr: Truncation | None = None, grid: GridSpec | None =
     raise TypeError("u must be a Field or SpectralCoeffs")
 
 
+def level_parts(coeffs, tr: Truncation, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalue levels of ``tr`` and the part of u in each level's eigenspace.
+
+    e^{-i t L} multiplies the eigenspace of the level lambda_i by the one phase
+    e^{-i t lambda_i}, so e^{-i t L} u = sum_i e^{-i t lambda_i} B_i^T C_i, with
+    B_i the basis rows and C_i the coefficient rows of the pairs at that level.
+    ``coeffs`` is as in ``propagate_samples``; the parts B_i^T C_i have shape
+    (levels, grid.size * N), the function axis innermost.
+    """
+    c = np.asarray(coeffs, dtype=complex).reshape(len(tr), -1)
+    basis = cached_basis(tr, grid).reshape(len(tr), -1)
+    lam = tr.eigenvalues()
+    levels = np.unique(lam)
+    parts = np.empty((len(levels), basis.shape[1], c.shape[1]), dtype=complex)
+    for part, level in zip(parts, levels):
+        block = lam == level
+        np.matmul(basis[block].T, c[block], out=part)
+    return levels, parts.reshape(len(levels), -1)
+
+
+def synthesize(levels: np.ndarray, parts: np.ndarray, nodes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """e^{-i t L} u at each time t in ``nodes`` from ``level_parts``: one product, one row per time."""
+    return np.matmul(np.exp(-1j * np.outer(nodes, levels)), parts, out=out)
+
+
 def propagate_samples(coeffs, tr: Truncation, tg: TimeGrid, grid: GridSpec) -> np.ndarray:
     """Samples of e^{-i t L} u on the time-space grid: the time-grid form of ``propagate``.
 
@@ -125,9 +149,5 @@ def propagate_samples(coeffs, tr: Truncation, tg: TimeGrid, grid: GridSpec) -> n
     (n_t, *grid.shape) or (n_t, *grid.shape, N).
     """
     c = np.asarray(coeffs, dtype=complex)
-    basis = cached_basis(tr, grid).reshape(len(tr), -1)
-    lam = np.array(tr.eigenvalues(), dtype=float)
-    phases = np.exp(-1j * np.outer(tg.nodes, lam))  # (n_t, n_pairs)
-    rotated = phases[:, :, None] * c.reshape(len(tr), -1)[None, :, :]  # (n_t, n_pairs, N)
-    vals = basis.T @ rotated  # one GEMM per time node
+    vals = synthesize(*level_parts(c, tr, grid), tg.nodes)
     return vals.reshape((tg.n_t,) + grid.shape + c.shape[1:])

@@ -165,8 +165,8 @@ def _t_z_factors(z, tr, tg, grid, lambda_cut=None):
     if tg.n_t <= 2 * cut:
         raise ValueError(f"need more than {2 * cut} time nodes for frequency range +-{cut}")
     if complex(z) == -1.0 + 0.0j:
-        lams = np.array(sorted({p.eigenvalue() for p in tr.index_set}))
-        weights = np.array([[1.0 if p.eigenvalue() == lam else 0.0 for lam in lams] for p in tr.index_set])
+        lams = np.unique(tr.eigenvalues())
+        weights = (tr.eigenvalues()[:, None] == lams).astype(float)
     else:
         lams = np.arange(-cut, cut + 1)
         weights = np.array([[g_z_weight(z, p.mu, p.nu, int(lam)) for lam in lams] for p in tr.index_set])
@@ -215,7 +215,7 @@ def weighted_gram(w_samples: np.ndarray, tr: Truncation, tg: TimeGrid, grid: Gri
     if w.shape != (tg.n_t,) + grid.shape:
         raise ValueError("weight samples inconsistent with the time and space grids")
     basis = cached_basis(tr, grid).reshape(len(tr), -1)
-    lam = np.array(tr.eigenvalues())
+    lam = tr.eigenvalues()
     levels = np.unique(lam)
     diffs, index = np.unique(levels[:, None] - lam, return_inverse=True)
     index = index.reshape(len(levels), len(lam))

@@ -74,22 +74,27 @@ def abel_sum(cfg: ProbeConfig, t: float | np.ndarray) -> complex | np.ndarray:
     (r = 1..B) the phase splits as e^{-itqB} e^{-itr}: the weights
     k^z e^{-tau k}, padded with zeros past k_cut, are computed once for all t,
     each slice of blocks is one matrix product with the inner phases, and one
-    phase per block and t finishes the sum.  A scalar t gives a complex, an
-    array one value per t.
+    phase per block and t finishes the sum.  At real z the weights are real,
+    and the product is one real GEMM with the interleaved real and imaginary
+    parts of the inner phases.  A scalar t gives a complex, an array one
+    value per t.
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     if ts.ndim != 1:
         raise ValueError("t must be a scalar or a 1-D array")
     r = np.arange(1, _BLOCK + 1, dtype=float)
     inner = _phases(ts, r)
+    z = cfg.z.real if cfg.z.imag == 0.0 else cfg.z
+    inner_parts = np.ascontiguousarray(inner.T).view(np.float64)  # (B, 2 n_t): re, im per t
     n_blocks = -(-cfg.k_cut // _BLOCK)
     total = np.zeros(ts.size, dtype=complex)
     for q0 in range(0, n_blocks, _SLICE_BLOCKS):
         qB = np.arange(q0, min(q0 + _SLICE_BLOCKS, n_blocks), dtype=float) * _BLOCK
         k = qB[:, None] + r
-        w = np.exp(cfg.z * np.log(k) - cfg.tau * k)
+        w = np.exp(z * np.log(k) - cfg.tau * k)
         w[k > cfg.k_cut] = 0.0
-        total += np.sum((inner @ w.T) * _phases(ts, qB), axis=1)
+        sums = (w @ inner_parts).view(complex).T if np.isrealobj(w) else inner @ w.T
+        total += np.sum(sums * _phases(ts, qB), axis=1)
     return complex(total[0]) if np.ndim(t) == 0 else total
 
 

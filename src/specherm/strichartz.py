@@ -16,7 +16,11 @@ import numpy as np
 
 from .grids import ExponentPair, GridSpec, TimeGrid, make_time_grid, mixed_norm
 from .indices import Truncation
-from .propagator import propagate_samples
+from .propagator import level_parts, synthesize
+
+# complex entries of e^{-i t L} u_j that ``density`` holds at a time (at least one
+# time node): a chunk squared in one reused buffer, never the whole (n_t, M^2n, N) block
+_CHUNK_ENTRIES = 2**19
 
 
 def admissible_exponents(n: int, q: float) -> float:
@@ -101,14 +105,25 @@ def density(
     tg: TimeGrid,
     grid: GridSpec,
 ) -> np.ndarray:
-    """Pointwise density sum_j n_j |e^{-i t L} u_j|^2, shape (n_t, *grid.shape)."""
+    """Pointwise density sum_j n_j |e^{-i t L} u_j|^2, shape (n_t, *grid.shape).
+
+    Synthesized from the level parts of the system one chunk of time nodes at a time.
+    """
     if len(nj) != sys.size:
         raise ValueError("coefficient vector length differs from system size")
     weights = nj.values.real if np.all(nj.values.imag == 0.0) else nj.values
-    # |u|^2 = re^2 + im^2: square the interleaved parts in place, weight both by n_j
-    parts = propagate_samples(sys.coeffs, sys.truncation, tg, grid).view(np.float64)
-    parts *= parts
-    return parts @ np.repeat(weights, 2)
+    levels, parts = level_parts(sys.coeffs, sys.truncation, grid)
+    step = max(1, _CHUNK_ENTRIES // max(1, parts.shape[1]))
+    buf = np.empty((min(step, tg.n_t), parts.shape[1]), dtype=complex)
+    out = np.empty((tg.n_t, grid.size), dtype=np.result_type(np.float64, weights))
+    w2 = np.repeat(weights, 2)
+    for start in range(0, tg.n_t, step):
+        nodes = tg.nodes[start : start + step]
+        # |u|^2 = re^2 + im^2: square the interleaved parts in place, weight both by n_j
+        sq = synthesize(levels, parts, nodes, out=buf[: len(nodes)]).view(np.float64)
+        sq *= sq
+        out[start : start + len(nodes)] = sq.reshape(len(nodes), grid.size, -1) @ w2
+    return out.reshape((tg.n_t,) + grid.shape)
 
 
 def strichartz_ratio(

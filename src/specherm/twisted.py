@@ -119,12 +119,9 @@ def twisted_convolve_batch(values: np.ndarray, g) -> np.ndarray:
     for j, factor in enumerate(factors):
         planes = np.moveaxis(out, (1 + 2 * j, 2 + 2 * j), (-2, -1))
         flat = planes.reshape(-1, M, M)
-        if len(flat) <= step:  # the kernel's own output and memory layout, as for every n = 1 weight
-            done = _convolve_plane(flat, factor)
-        else:
-            done = np.empty(flat.shape, dtype=complex)
-            for start in range(0, len(flat), step):
-                done[start : start + step] = _convolve_plane(flat[start : start + step], factor)
+        done = np.empty(flat.shape, dtype=complex)
+        for start in range(0, len(flat), step):
+            done[start : start + step] = _convolve_plane(flat[start : start + step], factor)
         out = np.moveaxis(done.reshape(planes.shape), (-2, -1), (1 + 2 * j, 2 + 2 * j))
     return out
 

@@ -152,6 +152,15 @@ class TestIndices:
         assert pair([0], [3]).eigenvalue() == 7
         assert pair([1, 1], [2, 0]).eigenvalue() == 6
 
+    def test_eigenvalues_one_read_only_integer_array(self):
+        tr = enumerate_pairs(2, 2)
+        lam = tr.eigenvalues()
+        assert lam is tr.eigenvalues()
+        assert lam.dtype.kind == "i"
+        assert lam.tolist() == [p.eigenvalue() for p in tr.index_set]
+        with pytest.raises(ValueError):
+            lam[0] = 0
+
     def test_negative_entries_rejected(self):
         with pytest.raises(ValueError):
             MultiIndex((-1,))

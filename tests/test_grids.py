@@ -167,6 +167,17 @@ class TestMixedNorm:
         with pytest.raises(ValueError):
             mixed_norm(F, tg, grid4, 2, 2, measure="dt/pi")
 
+    @pytest.mark.parametrize("layout", ["fortran", "batch-innermost"])
+    def test_memory_layout_leaves_norm_bit_identical(self, grid4, layout):
+        # a weight as twisted_convolve_batch returns it keeps its batch axis innermost
+        rng = np.random.default_rng(7)
+        tg = make_time_grid(16)
+        F = rng.standard_normal((16,) + grid4.shape) + 1j * rng.standard_normal((16,) + grid4.shape)
+        G = np.asfortranarray(F) if layout == "fortran" else np.moveaxis(np.moveaxis(F, 0, -1).copy(), -1, 0)
+        assert not G.flags.c_contiguous
+        for p, q in ((4.0, 4.0), (2.0, 2.0), (math.inf, 1.0), (1.0, math.inf)):
+            assert mixed_norm(G, tg, grid4, p, q, measure="dt/2pi") == mixed_norm(F, tg, grid4, p, q, measure="dt/2pi")
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_sample_rejected(self, grid4, bad):
         tg = make_time_grid(6)

@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specherm import checks
-from specherm.grids import Field, default_half_width, lp_norm, make_grid
+from specherm.grids import Field, default_half_width, lp_norm, make_grid, make_time_grid
 from specherm.indices import enumerate_pairs
 from specherm.indices import MultiIndex, MultiIndexPair
 from specherm.propagator import (
@@ -13,10 +15,13 @@ from specherm.propagator import (
     SingularTimeError,
     evolve_kernel,
     evolve_spectral,
+    level_parts,
     mehler_kernel,
     mehler_kernel_field,
     propagate,
     propagate_coeffs,
+    propagate_samples,
+    synthesize,
 )
 from specherm.twisted import SpectralCoeffs, cached_basis, forward_transform, inverse_transform
 
@@ -24,6 +29,20 @@ from specherm.twisted import SpectralCoeffs, cached_basis, forward_transform, in
 def random_coeffs(tr, seed=0):
     rng = np.random.default_rng(seed)
     return SpectralCoeffs(tr, rng.standard_normal(len(tr)) + 1j * rng.standard_normal(len(tr)))
+
+
+def per_pair_samples(coeffs, tr, tg, grid):
+    """e^{-i t L} u with every basis pair rotated by its own phase and one GEMM per time node.
+
+    The reference for the level synthesis of ``propagate_samples``.
+    """
+    c = np.asarray(coeffs, dtype=complex)
+    basis = cached_basis(tr, grid).reshape(len(tr), -1)
+    lam = np.array(tr.eigenvalues(), dtype=float)
+    phases = np.exp(-1j * np.outer(tg.nodes, lam))  # (n_t, n_pairs)
+    rotated = phases[:, :, None] * c.reshape(len(tr), -1)[None, :, :]  # (n_t, n_pairs, N)
+    vals = basis.T @ rotated
+    return vals.reshape((tg.n_t,) + grid.shape + c.shape[1:])
 
 
 class TestComplexTime:
@@ -169,3 +188,33 @@ class TestPropagate:
     def test_type_error(self):
         with pytest.raises(TypeError):
             propagate(np.zeros(4), 0.1)
+
+
+class TestPropagateSamples:
+    @pytest.mark.parametrize("n, k_max, M, n_t, N", [
+        (1, 4, 48, 16, None),
+        (1, 4, 48, 16, 1),
+        (1, 4, 48, 16, 16),
+        (2, 1, 10, 6, 4),
+    ], ids=["n1-vector", "n1-N1", "n1-N16", "n2-N4"])
+    def test_matches_per_pair_reference(self, n, k_max, M, n_t, N):
+        tr = enumerate_pairs(n, k_max)
+        grid = make_grid(n, default_half_width(n, k_max), M)
+        tg = make_time_grid(n_t)
+        rng = np.random.default_rng(12)
+        shape = (len(tr),) if N is None else (len(tr), N)
+        coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        want = per_pair_samples(coeffs, tr, tg, grid)
+        got = propagate_samples(coeffs, tr, tg, grid)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @settings(max_examples=25, deadline=None)
+    @given(s=st.floats(-2 * math.pi, 2 * math.pi), seed=st.integers(0, 2**16))
+    def test_group_law_on_time_grid(self, s, seed, tr4, grid4, tg16):
+        # e^{-i t L} e^{-i s L} u = e^{-i (t + s) L} u: rotating the coefficients by s,
+        # then synthesizing at the nodes, equals synthesizing at the shifted nodes
+        c = random_coeffs(tr4, seed=seed)
+        rotated_first = synthesize(*level_parts(propagate_coeffs(c, s).coeffs, tr4, grid4), tg16.nodes)
+        shifted_nodes = synthesize(*level_parts(c.coeffs, tr4, grid4), tg16.nodes + s)
+        assert np.abs(rotated_first - shifted_nodes).max() <= 1e-12 * np.abs(shifted_nodes).max()

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from specherm import strichartz
 from specherm.grids import default_half_width, make_grid, make_time_grid
 from specherm.indices import enumerate_pairs
 from specherm.propagator import propagate
@@ -19,7 +21,7 @@ from specherm.strichartz import (
     strichartz_ratio,
     sweep,
 )
-from specherm.twisted import SpectralCoeffs
+from specherm.twisted import SpectralCoeffs, cached_basis
 
 
 class TestAdmissibleExponents:
@@ -117,6 +119,37 @@ class TestDensity:
         got = density(sys, nj, tg, grid)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+    @pytest.mark.parametrize("nodes_per_chunk", [0, 3])
+    def test_chunked_density_matches_one_chunk(self, nodes_per_chunk, tr4, grid4, tg16, monkeypatch):
+        # 0: a chunk holds less than one node, so each node is its own chunk;
+        # 3: 16 nodes in chunks of 3, the last one short
+        sys = sample_orthonormal_system(tr4, 7, seed=9)
+        nj = CoefficientVector(np.linspace(0.2, 1.4, 7))
+        monkeypatch.setattr(strichartz, "_CHUNK_ENTRIES", tg16.n_t * grid4.size * sys.size)
+        whole = density(sys, nj, tg16, grid4)
+        monkeypatch.setattr(strichartz, "_CHUNK_ENTRIES", max(1, nodes_per_chunk * grid4.size * sys.size))
+        chunked = density(sys, nj, tg16, grid4)
+        assert np.abs(chunked - whole).max() <= 1e-12 * np.abs(whole).max()
+        assert chunked.min() >= 0.0
+
+    def test_peak_memory_below_one_synthesis_block(self):
+        # criterion 10's size: the density never holds all n_t x M^2 x N complex samples at once
+        tr = enumerate_pairs(1, 6)
+        grid = make_grid(1, default_half_width(1, 6), 48)
+        tg = make_time_grid(16)
+        sys = sample_orthonormal_system(tr, len(tr), seed=0)
+        nj = CoefficientVector(np.linspace(0.1, 1.0, len(tr)))
+        cached_basis(tr, grid)
+        block_bytes = tg.n_t * grid.size * sys.size * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            density(sys, nj, tg, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < block_bytes, f"peak {peak / 2**20:.1f} MiB, one block {block_bytes / 2**20:.1f} MiB"
 
 
 class TestStrichartzRatio:
