@@ -17,11 +17,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from .grids import GridSpec, TimeGrid, make_grid, mixed_norm
 from .indices import MultiIndex, MultiIndexPair, Truncation
 from .propagator import ComplexTime, mehler_kernel_field, propagate_samples
+from .singularity import gamma
 from .strichartz import CoefficientVector, OrthonormalSystem, density
 from .twisted import SpectralCoeffs, cached_basis, twisted_convolve_batch
 
@@ -108,13 +108,19 @@ def g_z_weight(z: complex, mu: MultiIndex, nu: MultiIndex, lam: int) -> complex:
     dedicated path in build_t_z, not a pointwise formula, so negative
     integers are rejected here.
     """
-    z = complex(z)
-    if z.imag == 0.0 and z.real <= -1.0 and z.real == int(z.real):
-        raise ValueError("negative-integer z is handled only by the surface-delta path")
+    z = _pointwise_z(z)
     gap = lam - (2 * nu.degree + mu.n)
     if gap <= 0:
         return 0.0 + 0.0j
-    return complex(gap**z / _gamma(z + 1))
+    return complex(gap**z / gamma(z + 1))
+
+
+def _pointwise_z(z: complex) -> complex:
+    """``z`` as a complex, rejected at the negative integers of the surface-delta path."""
+    z = complex(z)
+    if z.imag == 0.0 and z.real <= -1.0 and z.real == int(z.real):
+        raise ValueError("negative-integer z is handled only by the surface-delta path")
+    return z
 
 
 def default_lambda_cut(tr: Truncation) -> int:
@@ -168,8 +174,10 @@ def _t_z_factors(z, tr, tg, grid, lambda_cut=None):
         lams = np.unique(tr.eigenvalues())
         weights = (tr.eigenvalues()[:, None] == lams).astype(float)
     else:
+        z = _pointwise_z(z)
         lams = np.arange(-cut, cut + 1)
-        weights = np.array([[g_z_weight(z, p.mu, p.nu, int(lam)) for lam in lams] for p in tr.index_set])
+        gap = (lams[None, :] - tr.eigenvalues()[:, None]).astype(float)
+        weights = np.where(gap > 0, np.maximum(gap, 1.0) ** z, 0.0) / gamma(z + 1)
     return lams, weights
 
 

@@ -13,6 +13,7 @@ from specherm.propagator import propagate, propagate_samples
 from specherm.schatten import (
     _SV_CLAMP,
     SurfacePoint,
+    _t_z_factors,
     build_t_z,
     default_lambda_cut,
     duality_check,
@@ -309,6 +310,24 @@ class TestGzWeight:
             g_z_weight(-2.0, p.mu, p.nu, 5)
         with pytest.raises(ValueError):
             g_z_weight(-1.0, p.mu, p.nu, 5)
+
+    def test_frame_weights_match_pointwise_weights(self):
+        # _t_z_factors forms every (pair, lambda) weight with one Gamma(z + 1)
+        tr, tg = enumerate_pairs(1, 4), make_time_grid(64)
+        grid = make_grid(1, default_half_width(1, 4), 8)
+        for z in (0.0, -0.5, 1.3, 0.5j, -0.3 + 0.7j, 2.0 - 1.5j):
+            lams, weights = _t_z_factors(z, tr, tg, grid)
+            assert weights.shape == (len(tr), len(lams))
+            want = np.array([[g_z_weight(z, p.mu, p.nu, int(lam)) for lam in lams] for p in tr.index_set])
+            assert np.all((weights == 0) == (want == 0))
+            assert np.all(np.abs(weights - want) <= 1e-15 * np.abs(want))
+
+    def test_frame_weights_reject_negative_integers(self):
+        tr, tg = enumerate_pairs(1, 2), make_time_grid(64)
+        grid = make_grid(1, default_half_width(1, 2), 8)
+        for z in (-2.0, -3.0 + 0.0j):
+            with pytest.raises(ValueError, match="negative-integer"):
+                _t_z_factors(z, tr, tg, grid)
 
     def test_delta_limit_by_extrapolation(self):
         # pairing (lam - c)_+^z / Gamma(z+1) against a smooth bump over the

@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gamma as scipy_gamma
 from scipy.special import zeta
 
 from specherm.singularity import (
     ProbeConfig,
     abel_sum,
     default_config,
+    gamma,
     geometric_closed_form,
     h_kernel,
     h_kernel_rate,
@@ -105,6 +107,49 @@ class TestAbelSum:
         assert abs(a1 - a2) / abs(a2) <= 0.01
 
 
+def rel_err(got, want):
+    return abs(got - want) / abs(want)
+
+
+class TestGamma:
+    def test_factorials(self):
+        for k in range(11):
+            assert rel_err(gamma(k + 1), math.factorial(k)) <= 1e-13
+
+    def test_half(self):
+        assert rel_err(gamma(0.5), math.sqrt(math.pi)) <= 1e-13
+
+    def test_modulus_on_the_line_re_one(self):
+        # |Gamma(1 + is)|^2 = pi s / sinh(pi s), and 1 at s = 0
+        for s in np.linspace(-3.0, 3.0, 25):
+            want = math.pi * s / math.sinh(math.pi * s) if s != 0.0 else 1.0
+            assert rel_err(abs(gamma(complex(1.0, s))) ** 2, want) <= 1e-13
+
+    def test_recurrence_off_the_real_axis(self):
+        for x in np.linspace(-2.3, 3.1, 13):
+            for y in (-2.5, -0.4, 0.15, 1.0, 2.9):
+                z = complex(x, y)
+                assert rel_err(gamma(z + 1), z * gamma(z)) <= 1e-13
+
+    def test_reflection_off_the_real_axis(self):
+        for x in np.linspace(-1.7, 2.6, 10):
+            for y in (-2.2, -0.3, 0.05, 0.8, 2.7):
+                z = complex(x, y)
+                assert rel_err(gamma(z) * gamma(1.0 - z), math.pi / cmath.sin(math.pi * z)) <= 1e-13
+
+    def test_agrees_with_scipy_on_a_complex_grid(self):
+        # scipy is a test-only reference; the grid holds real points too
+        for x in np.linspace(-1.9, 3.0, 15):
+            for y in np.linspace(-3.0, 3.0, 13):
+                z = complex(x, y)
+                assert rel_err(gamma(z), complex(scipy_gamma(z))) <= 2e-14
+
+    def test_poles_rejected(self):
+        for z in (0.0, -1, -2.0 + 0.0j, -7.0):
+            with pytest.raises(ValueError, match="pole"):
+                gamma(z)
+
+
 class TestSingularTerm:
     def test_z_zero_reduces_to_reciprocal(self):
         t = 0.7
@@ -123,6 +168,13 @@ class TestSingularTerm:
     def test_branch_ambiguous_origin_rejected(self):
         with pytest.raises(ValueError):
             singular_term(-0.5, 0.0, 0.0)
+
+    def test_gamma_pole_rejected(self):
+        # Gamma(z + 1) has a pole at z = -1, -2, ...: an error, not inf + nan j
+        with pytest.raises(ValueError, match="pole at z = 0"):
+            singular_term(-1, 0.3, 1e-4)
+        with pytest.raises(ValueError, match="pole at z = -1"):
+            singular_term(-2.0, 0.3, 1e-4)
 
 
 class TestRemainderProfile:
