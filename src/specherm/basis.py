@@ -132,14 +132,14 @@ def special_hermite(pair: MultiIndexPair, zeta, quad_order: int | None = None) -
     return out
 
 
-def phi_k(k: int, zeta, n: int, quad_order: int | None = None):
+def phi_k(k: int, zeta, n: int):
     """Diagonal eigenspace sum (2 pi)^{n/2} * sum over |nu| = k of Phi_{nu nu}(zeta)."""
     if k < 0:
         raise ValueError("degree must be non-negative")
     total = 0.0 + 0.0j
     for nu in multi_indices(n, k):
         if nu.degree == k:
-            total = total + special_hermite(MultiIndexPair(nu, nu), zeta, quad_order)
+            total = total + special_hermite(MultiIndexPair(nu, nu), zeta)
     return (2.0 * math.pi) ** (n / 2.0) * total
 
 

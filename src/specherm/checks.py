@@ -100,15 +100,25 @@ def max_over_median(ratios: np.ndarray) -> Check:
     return Check("max-over-median", spread, spread <= 5.0, f"{spread:.3f}")
 
 
+def weight_ratios_finite(ratios: np.ndarray) -> Check:
+    """Every Schatten ratio of a run over random weights is finite."""
+    return Check("ratios-finite", float(ratios.max()), bool(np.all(np.isfinite(ratios))), f"{len(ratios)} weights")
+
+
 def ratios_finite(max_ratio: float) -> Check:
     """The largest Strichartz quotient of a sweep is finite."""
     return Check("ratios-finite", max_ratio, math.isfinite(max_ratio), f"max {max_ratio:.4f}")
 
 
 def single_mode_closed_form(tr: Truncation, tg: TimeGrid, grid: GridSpec) -> Check:
-    """Error of the (2, 2) quotient of the first mode alone, whose exact value is 2^{-1/2}."""
+    """Error of the (2, 2) quotient of the first mode alone.
+
+    The density of Phi_00 is (2 pi)^{-n} e^{-|z|^2/2} at every t, so the exact
+    value is 2^{1/2-n} pi^{(1-n)/2} (2^{-1/2} at n = 1).
+    """
     r0 = strichartz_ratio(eigenfunction_system(tr, 1), CoefficientVector([1.0]), 2.0, 2.0, tg, grid)
-    err = abs(r0 - 2**-0.5)
+    n = grid.n
+    err = abs(r0 - 2 ** (0.5 - n) * math.pi ** ((1 - n) / 2))
     return Check("single-mode-closed-form", err, err <= 1e-3, f"ratio {r0:.6f}")
 
 

@@ -168,7 +168,7 @@ def schatten_bound(config_path, out, fmt, trials, **flags):
     tr, grid, tg = _discretization(p)
     arr = checks.schatten_ratios(tr, tg, grid, range(p["seed"], p["seed"] + trials))
     results = [
-        checks.Check("ratios-finite", float(arr.max()), bool(np.all(np.isfinite(arr))), f"{trials} weights"),
+        checks.weight_ratios_finite(arr),
         checks.max_over_median(arr),
     ]
     header, rows = ["trial", "ratio"], [(k, float(r)) for k, r in enumerate(arr)]

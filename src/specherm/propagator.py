@@ -15,7 +15,7 @@ import numpy as np
 
 from .grids import Field, GridSpec, TimeGrid, make_grid, sample_field
 from .indices import Truncation
-from .twisted import SpectralCoeffs, cached_basis, forward_transform, inverse_transform, twisted_convolve
+from .twisted import SpectralCoeffs, cached_basis, twisted_convolve
 
 _TWO_PI = 2.0 * math.pi
 
@@ -98,24 +98,6 @@ def propagate_coeffs(c: SpectralCoeffs, t: float) -> SpectralCoeffs:
     return evolve_spectral(c, ComplexTime.reduced(0.0, t))
 
 
-def propagate(u, t: float, tr: Truncation | None = None, grid: GridSpec | None = None):
-    """Schrodinger-type evolution of u at time t.
-
-    ``u`` may be a Field (``tr`` required; the field is expanded, rotated and
-    resynthesized) or SpectralCoeffs (returned as a Field when ``grid`` is
-    given, otherwise as coefficients).
-    """
-    if isinstance(u, Field):
-        if tr is None:
-            raise ValueError("propagating a sampled field requires a truncation")
-        c = propagate_coeffs(forward_transform(u, tr), t)
-        return inverse_transform(c, grid if grid is not None else u.grid)
-    if isinstance(u, SpectralCoeffs):
-        c = propagate_coeffs(u, t)
-        return inverse_transform(c, grid) if grid is not None else c
-    raise TypeError("u must be a Field or SpectralCoeffs")
-
-
 def level_parts(coeffs, tr: Truncation, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """The eigenvalue levels of ``tr`` and the part of u in each level's eigenspace.
 
@@ -142,7 +124,7 @@ def synthesize(levels: np.ndarray, parts: np.ndarray, nodes: np.ndarray, out: np
 
 
 def propagate_samples(coeffs, tr: Truncation, tg: TimeGrid, grid: GridSpec) -> np.ndarray:
-    """Samples of e^{-i t L} u on the time-space grid: the time-grid form of ``propagate``.
+    """Samples of e^{-i t L} u on the time-space grid.
 
     ``coeffs`` holds the coefficients of u over ``tr``; a matrix with one
     column per function gives a trailing function axis.  Returns shape

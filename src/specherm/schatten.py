@@ -19,11 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import GridSpec, TimeGrid, make_grid, mixed_norm
-from .indices import MultiIndex, MultiIndexPair, Truncation
+from .indices import MultiIndex, Truncation
 from .propagator import ComplexTime, mehler_kernel_field, propagate_samples
 from .singularity import gamma
 from .strichartz import CoefficientVector, OrthonormalSystem, density
-from .twisted import SpectralCoeffs, cached_basis, twisted_convolve_batch
+from .twisted import cached_basis, twisted_convolve_batch
 
 # relative floor under which singular values are treated as exact zeros:
 # rank-deficient sandwiches otherwise pollute trace-class sums with noise
@@ -32,33 +32,15 @@ _SV_CLAMP = 1e-10
 _MAX_MATRIX_ENTRIES = int(2e7)
 
 
-@dataclass(frozen=True)
-class SurfacePoint:
-    """Triple (mu, nu, lambda); lies on the spectral surface iff lambda = 2|nu| + n."""
-
-    mu: MultiIndex
-    nu: MultiIndex
-    lam: int
-
-    def __post_init__(self):
-        if self.mu.n != self.nu.n:
-            raise ValueError("dimension mismatch")
-
-    def on_surface(self) -> bool:
-        return self.lam == 2 * self.nu.degree + self.mu.n
-
-
 @dataclass
 class SchattenReport:
     """Singular values and the Schatten r-norm of an operator."""
 
     singular_values: np.ndarray
-    r: float
     norm: float
-    shape: tuple[int, int]
 
 
-def schatten_from_singular_values(s: np.ndarray, r: float, shape) -> SchattenReport:
+def schatten_from_singular_values(s: np.ndarray, r: float) -> SchattenReport:
     """Schatten r-norm from singular values: r = 1 trace, r = 2 Hilbert-Schmidt, r = inf operator norm."""
     if r < 1:
         raise ValueError("Schatten exponent must be in [1, inf]")
@@ -69,36 +51,7 @@ def schatten_from_singular_values(s: np.ndarray, r: float, shape) -> SchattenRep
         norm = float(s[0]) if s.size else 0.0
     else:
         norm = float(np.sum(s**r) ** (1.0 / r))
-    return SchattenReport(singular_values=s, r=r, norm=norm, shape=tuple(shape))
-
-
-def extension_operator(fhat: dict, tg: TimeGrid, grid: GridSpec, tr: Truncation) -> np.ndarray:
-    """Synthesis sum over surface triples: sum of fhat * Phi_{mu nu}(z) e^{-i lambda t}.
-
-    ``fhat`` maps SurfacePoint (or (pair, lambda) tuples) to coefficients;
-    off-surface support is rejected.  Returns samples of shape (n_t, *grid.shape).
-    """
-    coeffs = np.zeros(len(tr), dtype=complex)
-    for key, value in fhat.items():
-        if isinstance(key, SurfacePoint):
-            pair, lam = MultiIndexPair(key.mu, key.nu), key.lam
-        else:
-            pair, lam = key
-        if lam != pair.eigenvalue():
-            raise ValueError(f"triple {(pair.mu, pair.nu, lam)} lies off the spectral surface")
-        coeffs[tr.position(pair)] += value
-    return propagate_samples(coeffs, tr, tg, grid)
-
-
-def surface_coefficients(u_hat: SpectralCoeffs) -> dict:
-    """The canonical lift of spatial coefficients onto the surface: (2 pi)^n * u_hat."""
-    n = u_hat.truncation.n
-    scale = (2.0 * math.pi) ** n
-    return {
-        (pair, pair.eigenvalue()): scale * u_hat.coeffs[i]
-        for i, pair in enumerate(u_hat.truncation.index_set)
-        if u_hat.coeffs[i] != 0
-    }
+    return SchattenReport(singular_values=s, norm=norm)
 
 
 def g_z_weight(z: complex, mu: MultiIndex, nu: MultiIndex, lam: int) -> complex:
@@ -140,13 +93,7 @@ def _dense_rows(tg: TimeGrid, grid: GridSpec) -> int:
     return rows
 
 
-def build_t_z(
-    z: complex,
-    tr: Truncation,
-    tg: TimeGrid,
-    grid: GridSpec,
-    lambda_cut: int | None = None,
-) -> np.ndarray:
+def build_t_z(z: complex, tr: Truncation, tg: TimeGrid, grid: GridSpec) -> np.ndarray:
     """Matrix of the Fourier-side multiplier family on time x space samples.
 
     T_z = F diag(g) F^H with F the lambda-grid frame, columns
@@ -156,18 +103,16 @@ def build_t_z(
     extension operator with its adjoint exactly.
     """
     rows = _dense_rows(tg, grid)
-    lams, weights = _t_z_factors(z, tr, tg, grid, lambda_cut)
+    lams, weights = _t_z_factors(z, tr, tg, grid)
     basis = cached_basis(tr, grid).reshape(len(tr), -1)
     phases = np.exp(-1j * np.outer(tg.nodes, lams))  # (n_t, n_lam)
     frame = np.einsum("al,pz,az->azpl", phases, basis, _sqrt_weights(tg, grid)).reshape(rows, -1)
     return (frame * weights.ravel()) @ frame.conj().T
 
 
-def _t_z_factors(z, tr, tg, grid, lambda_cut=None):
+def _t_z_factors(z, tr, tg, grid):
     """Frequencies lambda_l and the weights g[p, l] of the frame columns (pair p, frequency lambda_l)."""
-    cut = default_lambda_cut(tr) if lambda_cut is None else lambda_cut
-    if cut < default_lambda_cut(tr):
-        raise ValueError(f"lambda cut {cut} below required {default_lambda_cut(tr)}")
+    cut = default_lambda_cut(tr)
     if tg.n_t <= 2 * cut:
         raise ValueError(f"need more than {2 * cut} time nodes for frequency range +-{cut}")
     if complex(z) == -1.0 + 0.0j:
@@ -181,7 +126,7 @@ def _t_z_factors(z, tr, tg, grid, lambda_cut=None):
     return lams, weights
 
 
-def t_z_schatten(z: complex, tr: Truncation, tg: TimeGrid, grid: GridSpec, r: float, lambda_cut: int | None = None) -> SchattenReport:
+def t_z_schatten(z: complex, tr: Truncation, tg: TimeGrid, grid: GridSpec, r: float) -> SchattenReport:
     """Schatten norm of the multiplier family, read off the pairs x pairs basis Gram.
 
     The nodes are equispaced and n_t > 2 cut, so the Gram of the frame F of
@@ -191,14 +136,13 @@ def t_z_schatten(z: complex, tr: Truncation, tg: TimeGrid, grid: GridSpec, r: fl
     per frequency lambda_l.  R comes from ``eigh`` with the eigenvalues
     clamped at 0, so a rank-deficient Gram on a coarse grid is allowed.
     """
-    _, weights = _t_z_factors(z, tr, tg, grid, lambda_cut)
+    _, weights = _t_z_factors(z, tr, tg, grid)
     basis = cached_basis(tr, grid).reshape(len(tr), -1)
     evals, evecs = np.linalg.eigh((basis.conj() * grid.weight_tensor.ravel()) @ basis.T)
     R = np.sqrt(np.maximum(evals, 0.0))[:, None] * evecs.conj().T
     blocks = (R * weights.T[:, None, :]) @ R.conj().T  # (n_lam, pairs, pairs)
     s = np.linalg.svd(blocks, compute_uv=False).ravel()
-    rows = tg.n_t * grid.size
-    return schatten_from_singular_values(s, r, (rows, rows))
+    return schatten_from_singular_values(s, r)
 
 
 def extension_gram_matrix(tr: Truncation, tg: TimeGrid, grid: GridSpec) -> np.ndarray:
@@ -243,9 +187,8 @@ def sandwich_schatten(w_samples: np.ndarray, tr: Truncation, tg: TimeGrid, grid:
     semidefinite; its nonzero eigenvalues, hence its singular values, are
     those of K(W) = A* |W|^2 A.
     """
-    rows = tg.n_t * grid.size
     K = weighted_gram(w_samples, tr, tg, grid)
-    return schatten_from_singular_values(np.linalg.eigvalsh(K), r, (rows, rows))
+    return schatten_from_singular_values(np.linalg.eigvalsh(K), r)
 
 
 @dataclass
@@ -253,7 +196,6 @@ class DualityReport:
     """Empirical constants for the two sides of the sandwich/density duality."""
 
     alpha: float
-    alpha_dual: float
     sandwich_ratios: np.ndarray
     density_ratios: np.ndarray
     skipped: int
@@ -290,7 +232,6 @@ def duality_check(
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
     alpha_dual = math.inf if alpha == 1 else alpha / (alpha - 1)
-    rows = tg.n_t * grid.size
     sandwich_ratios = []
     density_ratios = []
     skipped = 0
@@ -300,7 +241,7 @@ def duality_check(
         if wn == 0.0:
             skipped += 1
         else:
-            sandwich_ratios.append(schatten_from_singular_values(evals, alpha, (rows, rows)).norm / wn**2)
+            sandwich_ratios.append(schatten_from_singular_values(evals, alpha).norm / wn**2)
         coeffs, nj = _system_from_eigh(evals, evecs, alpha)
         if not np.any(nj):
             skipped += 1
@@ -314,7 +255,6 @@ def duality_check(
         )
     return DualityReport(
         alpha=alpha,
-        alpha_dual=alpha_dual,
         sandwich_ratios=np.array(sandwich_ratios),
         density_ratios=np.array(density_ratios),
         skipped=skipped,
@@ -336,22 +276,20 @@ def random_smoothed_weight(tg: TimeGrid, grid: GridSpec, seed: int) -> np.ndarra
     return smooth / norm
 
 
-def matched_system(tr: Truncation, tg: TimeGrid, grid: GridSpec, w_samples: np.ndarray, alpha: float, n_modes: int | None = None):
+def matched_system(tr: Truncation, tg: TimeGrid, grid: GridSpec, w_samples: np.ndarray, alpha: float):
     """System adapted to a weight: eigenvectors of K(W) = A* |W|^2 A with the dual-optimal n_j.
 
     Pairing the density against |W|^2 then saturates the Schatten bound, so
     the two duality constants can be compared without a search.
     """
     evals, evecs = np.linalg.eigh(weighted_gram(w_samples, tr, tg, grid))
-    return _system_from_eigh(evals, evecs, alpha, n_modes)
+    return _system_from_eigh(evals, evecs, alpha)
 
 
-def _system_from_eigh(evals: np.ndarray, evecs: np.ndarray, alpha: float, n_modes: int | None = None):
+def _system_from_eigh(evals: np.ndarray, evecs: np.ndarray, alpha: float):
     """Columns and n_j = eigenvalue^(alpha - 1) of the eigenpairs above the clamp, largest first."""
     order = np.argsort(evals)[::-1]
     evals, evecs = np.maximum(evals[order], 0.0), evecs[:, order]
-    if n_modes is not None:
-        evals, evecs = evals[:n_modes], evecs[:, :n_modes]
     keep = evals > _SV_CLAMP * (evals[0] if evals.size and evals[0] > 0 else 1.0)
     nj = evals[keep] ** (alpha - 1.0)
     return evecs[:, keep], nj

@@ -152,7 +152,6 @@ class SweepConfig:
     truncation: Truncation
     grid: GridSpec
     n_t: int = 32
-    q_values: tuple = (1.0, 1.25, 1.5, 2.0)
     system_sizes: tuple = (1, 2, 4, 8, 16)
     trials: int = 20
     seed: int = 0
@@ -189,7 +188,9 @@ def fit_growth_exponent(sizes, lhs_values) -> float:
 def sweep(config: SweepConfig) -> SweepReport:
     """Run the full exponent/size/trial grid and summarize.
 
-    Ratios use the admissible p for each q.  The growth-exponent fit is done
+    The exponents are q = 1 + j/(4n) for j = 0, 1, 2, 4, from the
+    triangle-inequality endpoint q = 1 to the diagonal q = 1 + 1/n, each with
+    its admissible p.  The growth-exponent fit is done
     at (p, q) = (2, 2) with unit coefficients on the canonical eigenfunction
     systems (first N basis modes): these are deterministic and exhibit the
     orthonormality gain, whereas Gaussian random systems in a fixed finite
@@ -200,12 +201,13 @@ def sweep(config: SweepConfig) -> SweepReport:
     tg = make_time_grid(config.n_t)
     report = SweepReport()
     n = grid.n
+    q_values = tuple(1.0 + j / (4 * n) for j in (0, 1, 2, 4))
     for N in config.system_sizes:
         for trial in range(config.trials):
             sys = sample_orthonormal_system(tr, N, seed=config.seed + 1000 * N + trial)
             nj = CoefficientVector(np.ones(N))
             dens = density(sys, nj, tg, grid)
-            for q in config.q_values:
+            for q in q_values:
                 p = admissible_exponents(n, q)
                 pair = ExponentPair(p=p, q=q, n=n)
                 if not pair.admissible():

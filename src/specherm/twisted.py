@@ -27,12 +27,12 @@ _BASIS_CACHE_SIZE = 4
 _BASIS_CACHE: OrderedDict = OrderedDict()
 
 
-def cached_basis(tr: Truncation, grid: GridSpec, quad_order: int | None = None) -> np.ndarray:
+def cached_basis(tr: Truncation, grid: GridSpec) -> np.ndarray:
     """Sampled basis of ``basis_matrix``, shared by every caller and therefore read-only."""
-    key = (tr, grid, quad_order)
+    key = (tr, grid)
     basis = _BASIS_CACHE.pop(key, None)
     if basis is None:
-        basis = basis_matrix(tr, grid, quad_order)
+        basis = basis_matrix(tr, grid)
         basis.setflags(write=False)
     _BASIS_CACHE[key] = basis
     if len(_BASIS_CACHE) > _BASIS_CACHE_SIZE:
@@ -137,47 +137,32 @@ def twisted_convolve(f: Field, g) -> Field:
     return Field(f.grid, twisted_convolve_batch(f.values[None], g)[0])
 
 
-def phi_k_field(k: int, grid: GridSpec, quad_order: int | None = None) -> Field:
+def phi_k_field(k: int, grid: GridSpec) -> Field:
     """Diagonal eigenspace sum phi_k sampled on the grid."""
-    return sample_field(grid, lambda *zs: _phi_k_point(k, np.stack(zs, axis=-1), grid.n, quad_order))
+    return sample_field(grid, lambda *zs: _phi_k_point(k, np.stack(zs, axis=-1), grid.n))
 
 
-def forward_transform(f: Field, tr: Truncation, quad_order: int | None = None) -> SpectralCoeffs:
+def forward_transform(f: Field, tr: Truncation) -> SpectralCoeffs:
     """Coefficients (f, Phi_{mu nu}) for every pair in the truncation."""
-    basis = cached_basis(tr, f.grid, quad_order)
+    basis = cached_basis(tr, f.grid)
     wvals = f.values * f.grid.weight_tensor
     coeffs = np.tensordot(np.conj(basis), wvals, axes=(tuple(range(1, basis.ndim)), tuple(range(wvals.ndim))))
     return SpectralCoeffs(tr, coeffs)
 
 
-def inverse_transform(c: SpectralCoeffs, grid: GridSpec, quad_order: int | None = None) -> Field:
-    basis = cached_basis(c.truncation, grid, quad_order)
+def inverse_transform(c: SpectralCoeffs, grid: GridSpec) -> Field:
+    basis = cached_basis(c.truncation, grid)
     return Field(grid, np.tensordot(c.coeffs, basis, axes=(0, 0)))
 
 
-def project_k(f: Field, k: int, tr: Truncation | None = None, method: str = "convolution") -> Field:
-    """Projection onto the eigenspace of eigenvalue 2k + n.
-
-    Two independent routes: twisted convolution with phi_k (default), or
-    restriction of the spectral expansion to pairs with |nu| = k when a
-    truncation is supplied.
-    """
+def project_k(f: Field, k: int) -> Field:
+    """Projection onto the eigenspace of eigenvalue 2k + n: P_k f = (2 pi)^{-n} f x phi_k."""
     n = f.grid.n
-    if method == "convolution":
-        # phi_k = sum over k_1 + ... + k_n = k of phi_{k_1}(z_1) ... phi_{k_n}(z_n)
-        plane = make_grid(1, f.grid.L, f.grid.M)
-        parts = [twisted_convolve(f, tuple(phi_k_field(kj, plane) for kj in nu.entries)).values
-                 for nu in multi_indices(n, k) if nu.degree == k]
-        return Field(f.grid, (2.0 * math.pi) ** (-n) * sum(parts))
-    if method == "spectral":
-        if tr is None:
-            raise ValueError("spectral projection needs a truncation")
-        if k > tr.k_max:
-            raise ValueError(f"k={k} exceeds truncation degree {tr.k_max}")
-        c = forward_transform(f, tr)
-        mask = np.array([pair.nu.degree == k for pair in tr.index_set])
-        return inverse_transform(SpectralCoeffs(tr, c.coeffs * mask), f.grid)
-    raise ValueError(f"unknown method {method!r}")
+    # phi_k = sum over k_1 + ... + k_n = k of phi_{k_1}(z_1) ... phi_{k_n}(z_n)
+    plane = make_grid(1, f.grid.L, f.grid.M)
+    parts = [twisted_convolve(f, tuple(phi_k_field(kj, plane) for kj in nu.entries)).values
+             for nu in multi_indices(n, k) if nu.degree == k]
+    return Field(f.grid, (2.0 * math.pi) ** (-n) * sum(parts))
 
 
 def _derivative(values: np.ndarray, axis: int, h: float, order: int) -> np.ndarray:

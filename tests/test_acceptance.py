@@ -168,8 +168,7 @@ def test_criterion_8_strichartz_quotient():
     for M in (48, 64):
         grid = make_grid(1, default_half_width(1, 4), M)
         cfg = SweepConfig(
-            truncation=tr, grid=grid, n_t=32,
-            q_values=(1.0, 1.25, 1.5, 2.0), system_sizes=(1, 2, 4, 8, 16), trials=20, seed=0,
+            truncation=tr, grid=grid, n_t=32, system_sizes=(1, 2, 4, 8, 16), trials=20, seed=0,
         )
         maxima[M] = sweep(cfg).max_ratio
     drift = abs(maxima[48] - maxima[64]) / maxima[64]
@@ -186,8 +185,7 @@ def test_criterion_9_orthonormality_gain():
     tr = enumerate_pairs(1, 4)
     grid = make_grid(1, default_half_width(1, 4), 48)
     cfg = SweepConfig(
-        truncation=tr, grid=grid, n_t=32,
-        q_values=(2.0,), system_sizes=(1, 2, 4, 8, 16), trials=1, seed=0,
+        truncation=tr, grid=grid, n_t=32, system_sizes=(1, 2, 4, 8, 16), trials=1, seed=0,
     )
     report("criterion 9 orthonormality gain", [checks.growth_exponent(sweep(cfg).growth_exponent)])
 

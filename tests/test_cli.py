@@ -171,6 +171,19 @@ class TestCommands:
         assert f"[PASS] ratios-finite (max {payload['max_ratio']:.4f})" in result.stdout
         assert f"[PASS] growth-exponent ({payload['growth_exponent']:.4f})" in result.stdout
 
+    def test_strichartz_sweep_n2(self, runner, tmp_path):
+        # the exponent grid q = 1 + j/(4n) stays inside [1, 1 + 1/n]; the n = 2 growth band is not set yet
+        out = tmp_path / "sweep.json"
+        args = ["strichartz-sweep", "--n", "2", "--kmax", "1", "--grid-m", "16", "--trials", "1", "--out", str(out)]
+        result = runner.invoke(main, args)
+        assert result.exit_code in (0, 1), result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        verdicts = [line for line in result.stdout.splitlines() if line.startswith(("[PASS]", "[FAIL]"))]
+        assert len(verdicts) == 3
+        assert "[PASS] single-mode-closed-form" in result.stdout
+        cells = json.loads(out.read_text())["max_ratio_by_cell"]
+        assert sorted({key.split(",")[0] for key in cells}) == ["q=1.0", "q=1.125", "q=1.25", "q=1.5"]
+
     def test_duality_check_passes(self, runner):
         result = runner.invoke(main, ["duality-check", "--trials", "4", "--nt", "12", "--grid-m", "40"])
         assert result.exit_code == 0, result.output

@@ -9,22 +9,19 @@ from scipy.special import gamma
 
 from specherm.grids import default_half_width, make_grid, make_time_grid, mixed_norm
 from specherm.indices import MultiIndex, MultiIndexPair, Truncation, enumerate_pairs
-from specherm.propagator import propagate, propagate_samples
+from specherm.propagator import propagate_coeffs, propagate_samples
 from specherm.schatten import (
     _SV_CLAMP,
-    SurfacePoint,
     _t_z_factors,
     build_t_z,
     default_lambda_cut,
     duality_check,
     extension_gram_matrix,
-    extension_operator,
     g_z_weight,
     matched_system,
     random_smoothed_weight,
     sandwich_schatten,
     schatten_from_singular_values,
-    surface_coefficients,
     t_z_schatten,
     weighted_gram,
 )
@@ -53,7 +50,7 @@ def n2_setup():
 
 
 def dense_frame(tr, tg, grid):
-    """The propagation frame A, rows (t, z) and one column per pair, from ``propagate``.
+    """The propagation frame A, rows (t, z) and one column per pair, from ``propagate_coeffs``.
 
     Column p holds e^{-i t L} Phi_p sampled at every node, times sqrt(w_t w_z)
     under the normalized circle measure: the reference that K(W) = A* |W|^2 A
@@ -63,7 +60,7 @@ def dense_frame(tr, tg, grid):
     cols = []
     for e in np.eye(len(tr), dtype=complex):
         c = SpectralCoeffs(tr, e)
-        cols.append(np.concatenate([propagate(c, float(t), grid=grid).values.ravel() for t in tg.nodes]))
+        cols.append(np.concatenate([inverse_transform(propagate_coeffs(c, float(t)), grid).values.ravel() for t in tg.nodes]))
     return np.stack(cols, axis=1) * sqrtw[:, None]
 
 
@@ -125,46 +122,40 @@ def gaussian_weight(tg, grid, seed):
 
 class TestSchattenNorm:
     def test_diagonal_hilbert_schmidt(self):
-        rep = schatten_from_singular_values(np.array([3.0, 4.0]), 2, (2, 2))
+        rep = schatten_from_singular_values(np.array([3.0, 4.0]), 2)
         assert rep.norm == pytest.approx(5.0)
 
     def test_identity_any_exponent(self):
         for r in (1, 2, 4, math.inf):
             want = 6.0 ** (1.0 / r) if not math.isinf(r) else 1.0
-            assert schatten_from_singular_values(np.ones(6), r, (6, 6)).norm == pytest.approx(want)
+            assert schatten_from_singular_values(np.ones(6), r).norm == pytest.approx(want)
 
     def test_hilbert_schmidt_is_frobenius(self):
         rng = np.random.default_rng(0)
         T = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        rep = schatten_from_singular_values(linalg.svdvals(T), 2, T.shape)
+        rep = schatten_from_singular_values(linalg.svdvals(T), 2)
         assert rep.norm == pytest.approx(np.linalg.norm(T), abs=1e-10)
 
     def test_monotone_in_exponent(self):
         rng = np.random.default_rng(1)
         s = linalg.svdvals(rng.standard_normal((8, 8)))
-        norms = [schatten_from_singular_values(s, r, (8, 8)).norm for r in (1, 2, 4, math.inf)]
+        norms = [schatten_from_singular_values(s, r).norm for r in (1, 2, 4, math.inf)]
         assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
 
     def test_invalid_inputs(self):
         for r in (0.5, 0.0):
             with pytest.raises(ValueError):
-                schatten_from_singular_values(np.ones(2), r, (2, 2))
+                schatten_from_singular_values(np.ones(2), r)
 
     def test_singular_values_sorted_nonnegative(self):
-        rep = schatten_from_singular_values(np.array([1.0, -9.0, 4.0]), 1, (3, 3))
+        rep = schatten_from_singular_values(np.array([1.0, -9.0, 4.0]), 1)
         np.testing.assert_array_equal(rep.singular_values, [9.0, 4.0, 1.0])
         assert rep.norm == pytest.approx(14.0)
 
     def test_relative_clamp_zeroes_noise(self):
         # relative to the largest: kept just above the floor, zeroed below it
-        rep = schatten_from_singular_values(np.array([0.5, 0.5 * _SV_CLAMP, 1.0, 2.0 * _SV_CLAMP]), 1, (4, 4))
+        rep = schatten_from_singular_values(np.array([0.5, 0.5 * _SV_CLAMP, 1.0, 2.0 * _SV_CLAMP]), 1)
         np.testing.assert_array_equal(rep.singular_values, [1.0, 0.5, 2.0 * _SV_CLAMP, 0.0])
-
-
-class TestSurfacePoint:
-    def test_on_surface(self):
-        assert SurfacePoint(MultiIndex((2,)), MultiIndex((1,)), 3).on_surface()
-        assert not SurfacePoint(MultiIndex((2,)), MultiIndex((1,)), 4).on_surface()
 
 
 class TestPropagationMatrix:
@@ -191,7 +182,7 @@ class TestPropagationMatrix:
         assert samples.shape == (tg.n_t,) + grid.shape
         c = SpectralCoeffs(tr, e0.astype(complex))
         for a in (0, tg.n_t // 2):
-            want = propagate(c, float(tg.nodes[a]), grid=grid).values
+            want = inverse_transform(propagate_coeffs(c, float(tg.nodes[a])), grid).values
             assert np.abs(samples[a] - want).max() < 1e-8
 
     def test_function_axis_matches_columns(self, small_setup):
@@ -257,38 +248,30 @@ class TestWeightedGram:
 
 
 class TestExtensionOperator:
+    """E_S on the surface lambda = 2|nu| + n is ``propagate_samples`` of the surface coefficients."""
+
     def test_surface_delta_gives_rotating_mode(self, small_setup):
+        # the surface delta at Phi_00, lambda = 1: e^{-it} Phi_00
         tr, tg, grid = small_setup
-        out = extension_operator({SurfacePoint(MultiIndex((0,)), MultiIndex((0,)), 1): 1.0}, tg, grid, tr)
-        c = SpectralCoeffs(tr, np.eye(len(tr))[0].astype(complex))
-        phi00 = inverse_transform(c, grid).values
+        e0 = np.eye(len(tr))[0].astype(complex)
+        out = propagate_samples(e0, tr, tg, grid)
+        phi00 = inverse_transform(SpectralCoeffs(tr, e0), grid).values
         for a in (0, 5):
             want = np.exp(-1j * tg.nodes[a]) * phi00
             assert np.abs(out[a] - want).max() < 1e-10
 
     def test_zero_input(self, small_setup):
         tr, tg, grid = small_setup
-        assert np.all(extension_operator({}, tg, grid, tr) == 0.0)
-
-    def test_off_surface_rejected(self, small_setup):
-        tr, tg, grid = small_setup
-        with pytest.raises(ValueError):
-            extension_operator({SurfacePoint(MultiIndex((0,)), MultiIndex((0,)), 2): 1.0}, tg, grid, tr)
-
-    def test_same_pair_values_summed(self, small_setup):
-        tr, tg, grid = small_setup
-        p00 = pair(0, 0)
-        both = {SurfacePoint(p00.mu, p00.nu, 1): 1.0, (p00, 1): 2.0}
-        once = extension_operator({(p00, 1): 1.0}, tg, grid, tr)
-        assert np.abs(extension_operator(both, tg, grid, tr) - 3.0 * once).max() < 1e-13
+        assert np.all(propagate_samples(np.zeros(len(tr)), tr, tg, grid) == 0.0)
 
     def test_reproduces_scaled_propagation(self, small_setup):
+        # the canonical lift (2 pi)^n u_hat onto the surface gives 2 pi times the propagation at n = 1
         tr, tg, grid = small_setup
         rng = np.random.default_rng(4)
         u = SpectralCoeffs(tr, rng.standard_normal(len(tr)) + 1j * rng.standard_normal(len(tr)))
-        out = extension_operator(surface_coefficients(u), tg, grid, tr) / (2 * math.pi)
+        out = propagate_samples(2 * math.pi * u.coeffs, tr, tg, grid) / (2 * math.pi)
         for a in (2, 9):
-            want = propagate(u, float(tg.nodes[a]), grid=grid).values
+            want = inverse_transform(propagate_coeffs(u, float(tg.nodes[a])), grid).values
             assert np.abs(out[a] - want).max() < 1e-8
 
 
@@ -365,12 +348,6 @@ class TestBuildTz:
         TS = extension_gram_matrix(tr, tg, grid)
         assert np.abs(T - TS).max() <= 1e-8
 
-    def test_lambda_guard(self, small_setup):
-        tr, tg, _ = small_setup
-        grid = make_grid(1, 9.2, 10)
-        with pytest.raises(ValueError):
-            build_t_z(0.0, tr, tg, grid, lambda_cut=default_lambda_cut(tr) - 1)
-
     def test_time_resolution_guard(self, small_setup):
         tr, _, _ = small_setup
         grid = make_grid(1, 9.2, 10)
@@ -397,7 +374,7 @@ class TestBuildTz:
             rep = t_z_schatten(z, tr, tg, grid, r)
             assert rep.singular_values.shape == want.shape
             np.testing.assert_allclose(rep.singular_values[kept], want[kept], rtol=1e-10)
-            assert rep.norm == pytest.approx(schatten_from_singular_values(want, r, rep.shape).norm, rel=1e-10)
+            assert rep.norm == pytest.approx(schatten_from_singular_values(want, r).norm, rel=1e-10)
 
     @pytest.mark.parametrize("s", [0.0, 0.7])
     def test_imaginary_axis_at_kmax_4(self, s):

@@ -8,7 +8,7 @@ import pytest
 from specherm import strichartz
 from specherm.grids import default_half_width, make_grid, make_time_grid
 from specherm.indices import enumerate_pairs
-from specherm.propagator import propagate
+from specherm.propagator import propagate_coeffs
 from specherm.strichartz import (
     CoefficientVector,
     OrthonormalSystem,
@@ -21,7 +21,7 @@ from specherm.strichartz import (
     strichartz_ratio,
     sweep,
 )
-from specherm.twisted import SpectralCoeffs, cached_basis
+from specherm.twisted import SpectralCoeffs, cached_basis, inverse_transform
 
 
 class TestAdmissibleExponents:
@@ -111,7 +111,7 @@ class TestDensity:
         nj = CoefficientVector([1.0, 0.5, 2.0, 0.25, 1.5])
         want = np.stack([
             sum(
-                nj.values[j].real * np.abs(propagate(SpectralCoeffs(tr, sys.coeffs[:, j]), t, grid=grid).values) ** 2
+                nj.values[j].real * np.abs(inverse_transform(propagate_coeffs(SpectralCoeffs(tr, sys.coeffs[:, j]), t), grid).values) ** 2
                 for j in range(N)
             )
             for t in tg.nodes
@@ -194,8 +194,7 @@ class TestStrichartzRatio:
 @pytest.fixture(scope="module")
 def report(tr4, grid4):
     cfg = SweepConfig(
-        truncation=tr4, grid=grid4, n_t=16,
-        q_values=(1.0, 1.5, 2.0), system_sizes=(1, 2, 4, 8), trials=4, seed=0,
+        truncation=tr4, grid=grid4, n_t=16, system_sizes=(1, 2, 4, 8), trials=4, seed=0,
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -208,7 +207,7 @@ class TestSweep:
         assert all(math.isfinite(row[5]) for row in report.rows)
 
     def test_row_count(self, report):
-        assert len(report.rows) == 3 * 4 * 4  # q values x sizes x trials
+        assert len(report.rows) == 4 * 4 * 4  # q values x sizes x trials
 
     def test_growth_exponent_in_gain_window(self, report):
         assert 0.6 <= report.growth_exponent <= 0.85
