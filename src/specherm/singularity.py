@@ -82,8 +82,12 @@ def default_config(z: complex, tau: float = 1e-4, t_samples=()) -> ProbeConfig:
 
 # k = qB + r with r = 1..B: B inner phases e^{-itr} are shared by every block
 _BLOCK = 128
-# blocks per slice: no complex temporary exceeds 2^16 terms
-_SLICE_BLOCKS = 512
+# q = aA + b: a block phase e^{-itqB} is the product of one table entry per a and one per b
+_TABLE = 128
+# real entries of the largest temporary of one slice of blocks
+_SLICE_ENTRIES = 1 << 16
+# the head summed term by term is at least this many blocks
+_MIN_HEAD = 32
 
 
 def _phases(ts: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -97,16 +101,67 @@ def _phases(ts: np.ndarray, k: np.ndarray) -> np.ndarray:
     return np.exp(-1j * np.outer(hi, k)) * np.exp(-1j * np.outer(ts - hi, k))
 
 
+def _series_plan(z: complex) -> tuple[int, int]:
+    """Head H in blocks and the term count of the binomial expansion of k^z past it.
+
+    In a block q >= H, k = qB + r gives k^z = (qB)^z sum_m C(z, m) q^{-m} (r/B)^m,
+    whose m-th term is at most a_m = |C(z, m)| H^{-m} relative to (qB)^z.  H is
+    the least power of two, at least _MIN_HEAD, with H >= 2 max(|z|, 1): then
+    a_{m+1}/a_m = |z - m|/((m+1) H) <= 1/2, so the a_m sum to at most 2 (roundoff
+    at most doubles against the per-term sum) and the remainder past m is at most
+    2 a_{m+1}.  The series stops at the first m where that bound is below 2^-53.
+    """
+    head = max(_MIN_HEAD, 1 << math.ceil(math.log2(2.0 * max(abs(z), 1.0))))
+    a, m = 1.0, 0
+    while True:
+        a *= abs(z - m) / ((m + 1) * head)
+        if 2.0 * a < 2.0**-53:
+            return head, m + 1
+        m += 1
+
+
+def _expanded_blocks(cfg: ProbeConfig, z, ts: np.ndarray, inner_parts: np.ndarray, blocks: range,
+                     terms: int) -> np.ndarray:
+    """Sum of the blocks q in ``blocks`` by the binomial expansion of k^z, one value per t.
+
+    With s = tau + it a block sums to e^{-sqB} (qB)^z sum_m C(z, m) q^{-m} mu_m(s),
+    mu_m(s) = sum_r (r/B)^m e^{-sr}, so all blocks together are
+    sum_m C(z, m) mu_m(s) sum_q q^{-m} (qB)^z e^{-sqB}: per slice of blocks one
+    real matrix product of the weights q^{-m} with the block phases.
+    """
+    r = np.arange(1, _BLOCK + 1, dtype=float)
+    moments = (np.vander(r / _BLOCK, terms, increasing=True).T * np.exp(-cfg.tau * r)) @ inner_parts
+    binomials = np.ones(terms, dtype=np.result_type(float, z))
+    for m in range(1, terms):
+        binomials[m] = binomials[m - 1] * (z - (m - 1)) / m
+    first, last = blocks.start // _TABLE, -(-blocks.stop // _TABLE)
+    outer = np.ascontiguousarray(_phases(ts, np.arange(first, last) * float(_TABLE * _BLOCK)).T)  # e^{-it aAB}
+    low = np.ascontiguousarray(_phases(ts, np.arange(_TABLE) * float(_BLOCK)).T)  # e^{-it bB}
+    step = max(1, _SLICE_ENTRIES // (_TABLE * max(2 * ts.size, terms)))  # values of a per slice
+    series = np.zeros((terms, 2 * ts.size))
+    for a0 in range(first, last, step):
+        a = outer[a0 - first : a0 - first + step]
+        q0, q1 = max(a0 * _TABLE, blocks.start), min((a0 + len(a)) * _TABLE, blocks.stop)
+        q = np.arange(q0, q1, dtype=float)
+        ph = (a[:, None] * low).reshape(len(a) * _TABLE, ts.size)[q0 - a0 * _TABLE : q1 - a0 * _TABLE]
+        ph *= np.exp(z * np.log(q * _BLOCK) - cfg.tau * _BLOCK * q)[:, None]
+        series += np.vander(1.0 / q, terms, increasing=True).T @ ph.view(np.float64)
+    return binomials @ (moments.view(complex) * series.view(complex))
+
+
 def abel_sum(cfg: ProbeConfig, t: float | np.ndarray) -> complex | np.ndarray:
     """Damped series sum_{k=1}^{k_cut} k^z e^{-(tau + i t) k} at a scalar t or a 1-D array of t.
 
     The k = 0 term vanishes under the convention 0_+^z = 0.  With k = qB + r
-    (r = 1..B) the phase splits as e^{-itqB} e^{-itr}: the weights
-    k^z e^{-tau k}, padded with zeros past k_cut, are computed once for all t,
-    each slice of blocks is one matrix product with the inner phases, and one
-    phase per block and t finishes the sum.  At real z the weights are real,
-    and the product is one real GEMM with the interleaved real and imaginary
-    parts of the inner phases.  A scalar t gives a complex, an array one
+    (r = 1..B) the phase splits as e^{-itqB} e^{-itr}, and every block shares
+    the B inner phases.  The head blocks q < H of ``_series_plan`` and the
+    part block past the last full one are summed term by term: their weights
+    k^z e^{-tau k}, zero past k_cut, times the inner phases, one matrix product
+    per slice of blocks, and one phase per block and t.  Every other block
+    expands k^z binomially in r/(qB) (``_expanded_blocks``), which costs one
+    transcendental per block instead of one per term.  At real z the weights
+    are real and each product is one real GEMM.  No temporary exceeds 2^16
+    entries for up to 128 times.  A scalar t gives a complex, an array one
     value per t.
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
@@ -114,12 +169,18 @@ def abel_sum(cfg: ProbeConfig, t: float | np.ndarray) -> complex | np.ndarray:
         raise ValueError("t must be a scalar or a 1-D array")
     r = np.arange(1, _BLOCK + 1, dtype=float)
     inner = _phases(ts, r)
-    z = cfg.z.real if cfg.z.imag == 0.0 else cfg.z
     inner_parts = np.ascontiguousarray(inner.T).view(np.float64)  # (B, 2 n_t): re, im per t
-    n_blocks = -(-cfg.k_cut // _BLOCK)
+    z = cfg.z.real if cfg.z.imag == 0.0 else cfg.z
+    head, terms = _series_plan(cfg.z)
+    full = cfg.k_cut // _BLOCK
+    expanded = range(min(head, full), full)
     total = np.zeros(ts.size, dtype=complex)
-    for q0 in range(0, n_blocks, _SLICE_BLOCKS):
-        qB = np.arange(q0, min(q0 + _SLICE_BLOCKS, n_blocks), dtype=float) * _BLOCK
+    if expanded:
+        total += _expanded_blocks(cfg, z, ts, inner_parts, expanded, terms)
+    direct = np.r_[0 : expanded.start, full : -(-cfg.k_cut // _BLOCK)]
+    step = _SLICE_ENTRIES // _BLOCK
+    for i in range(0, direct.size, step):
+        qB = direct[i : i + step] * float(_BLOCK)
         k = qB[:, None] + r
         w = np.exp(z * np.log(k) - cfg.tau * k)
         w[k > cfg.k_cut] = 0.0

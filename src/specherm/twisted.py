@@ -165,35 +165,38 @@ def project_k(f: Field, k: int) -> Field:
     return Field(f.grid, (2.0 * math.pi) ** (-n) * sum(parts))
 
 
-def _derivative(values: np.ndarray, axis: int, h: float, order: int) -> np.ndarray:
+def _derivatives(values: np.ndarray, axis: int, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """First and second spectral derivatives along ``axis``, from one FFT."""
     m = values.shape[axis]
-    kappa = 2.0 * np.pi * np.fft.fftfreq(m, d=h)
-    mult = (1j * kappa) ** order
     shape = [1] * values.ndim
     shape[axis] = m
-    return np.fft.ifft(np.fft.fft(values, axis=axis) * mult.reshape(shape), axis=axis)
+    kappa = 2.0 * np.pi * np.fft.fftfreq(m, d=h)
+    mult = (1j * kappa).reshape(shape)
+    spectrum = np.fft.fft(values, axis=axis)
+    return np.fft.ifft(spectrum * mult, axis=axis), np.fft.ifft(spectrum * mult**2, axis=axis)
 
 
-def apply_twisted_laplacian(f: Field) -> Field:
-    """Apply the operator (1/2) sum_j (Z_j Zbar_j + Zbar_j Z_j) to sampled f.
+def apply_twisted_laplacian(values: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Apply the operator (1/2) sum_j (Z_j Zbar_j + Zbar_j Z_j) to each field of ``values`` (..., *grid.shape).
 
     In real coordinates z_j = x_j + i y_j this is
     sum_j [ -(d_xx + d_yy) + (x_j^2 + y_j^2)/4 - i (x_j d_y - y_j d_x) ].
 
     Derivatives are spectral (fields decay to ~1e-12 at the boundary, so the
-    periodic wrap is negligible).
+    periodic wrap is negligible); leading axes are a batch.
     """
-    grid = f.grid
     if grid.M < 16:
         raise ValueError("grid too coarse for stable differentiation (need M >= 16)")
     h = grid.spacing
     coords = grid.zeta_coords()
-    out = np.zeros(grid.shape, dtype=complex)
+    out = np.zeros(values.shape, dtype=complex)
     for j in range(grid.n):
-        ax_x, ax_y = 2 * j, 2 * j + 1
+        ax_x = 2 * j - 2 * grid.n
         x = coords[j].real
         y = coords[j].imag
-        out += -(_derivative(f.values, ax_x, h, 2) + _derivative(f.values, ax_y, h, 2))
-        out += 0.25 * (x * x + y * y) * f.values
-        out += -1j * (x * _derivative(f.values, ax_y, h, 1) - y * _derivative(f.values, ax_x, h, 1))
-    return Field(grid, out)
+        dx, dxx = _derivatives(values, ax_x, h)
+        dy, dyy = _derivatives(values, ax_x + 1, h)
+        out += -(dxx + dyy)
+        out += 0.25 * (x * x + y * y) * values
+        out += -1j * (x * dy - y * dx)
+    return out

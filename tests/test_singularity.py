@@ -1,6 +1,7 @@
 import cmath
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from scipy.special import gamma as scipy_gamma
 from scipy.special import zeta
 
 from specherm.singularity import (
+    _BLOCK,
     ProbeConfig,
+    _series_plan,
     abel_sum,
     default_config,
     gamma,
@@ -105,6 +108,67 @@ class TestAbelSum:
         a1 = abel_sum(default_config(-0.5, 1e-4), 0.05)
         a2 = abel_sum(default_config(-0.5, 5e-5), 0.05)
         assert abs(a1 - a2) / abs(a2) <= 0.01
+
+
+CLI_TIMES = np.linspace(0.2, math.pi - 0.2, 9)
+
+
+class TestBinomialBlocks:
+    """The binomial block expansion against the per-term sum, where its plan changes."""
+
+    def test_large_imaginary_z(self):
+        # the series with H = 32 and a fixed 12 terms is 3.6e-8 off at t = 0.3
+        cfg = default_config(-0.5 + 60j, 1e-4)
+        ts = np.array([-2.0, 0.3, 1.7])
+        want = np.array([direct_abel_sum(cfg, t) for t in ts])
+        np.testing.assert_allclose(abel_sum(cfg, ts), want, rtol=1e-10, atol=0)
+
+    def test_cutoff_below_one_block(self):
+        cfg = ProbeConfig(z=-0.5, tau=1.0, k_cut=24)
+        ts = np.array([-1.0, 0.3, 3.0])
+        want = np.array([direct_abel_sum(cfg, t) for t in ts])
+        np.testing.assert_allclose(abel_sum(cfg, ts), want, rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("z", [-0.5, -0.3 + 0.2j])
+    @pytest.mark.parametrize("offset", [-1, 1, _BLOCK + 1])
+    def test_cutoff_next_to_the_head(self, z, offset):
+        # k_cut = H B - 1 and H B + 1 leave no expanded block; H B + B + 1 leaves one
+        head = _series_plan(complex(z))[0] * _BLOCK
+        cfg = ProbeConfig(z=z, tau=0.01, k_cut=head + offset)
+        ts = np.array([-math.pi, 0.3, 2.9])
+        want = np.array([direct_abel_sum(cfg, t) for t in ts])
+        np.testing.assert_allclose(abel_sum(cfg, ts), want, rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("z", [-0.5, -0.3 + 0.2j])
+    def test_one_expanded_block_adds_exactly_its_terms(self, z):
+        # blocks next to k_cut are damped below 1e-10, too little for the comparison
+        # above to see a lost or doubled one; a difference of two cutoffs shows it
+        head = _series_plan(complex(z))[0] * _BLOCK
+        tau = 24.0 / head
+        short, long = (ProbeConfig(z=z, tau=tau, k_cut=head + d) for d in (1, _BLOCK + 1))
+        ts = np.array([-math.pi, 0.3, 2.9])
+        k = np.arange(head + 2, head + _BLOCK + 2, dtype=float)
+        terms = (k ** complex(z) * np.exp(-(tau + 1j * ts[:, None]) * k)).sum(axis=1)
+        np.testing.assert_allclose(abel_sum(long, ts) - abel_sum(short, ts), terms, rtol=1e-3)
+
+    @pytest.mark.parametrize("z", [-0.5, -0.3 + 0.2j])
+    def test_cli_grid_at_fine_tau(self, z):
+        cfg = default_config(z, 1e-5)
+        want = np.array([direct_abel_sum(cfg, t) for t in CLI_TIMES])
+        np.testing.assert_allclose(abel_sum(cfg, CLI_TIMES), want, rtol=1e-10, atol=0)
+
+    def test_traced_peak_at_cli_defaults(self):
+        # 2,214,624 bytes is the peak of the per-term-weight blocked pass this
+        # expansion replaced (numpy 2.4); the expansion must not hold more
+        cfg = default_config(-0.5, 1e-5)
+        abel_sum(cfg, CLI_TIMES)
+        tracemalloc.start()
+        try:
+            abel_sum(cfg, CLI_TIMES)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2_214_624
 
 
 def rel_err(got, want):
