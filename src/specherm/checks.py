@@ -15,7 +15,7 @@ from .indices import Truncation
 from .propagator import ComplexTime, evolve_kernel, evolve_spectral, mehler_kernel, propagate_coeffs
 from .schatten import DualityReport, random_smoothed_weight, sandwich_schatten
 from .singularity import RemainderProfile, h_kernel_rate
-from .strichartz import CoefficientVector, density, eigenfunction_system
+from .strichartz import density, eigenfunction_system
 from .twisted import SpectralCoeffs, apply_twisted_laplacian, cached_basis, inverse_transform
 
 
@@ -127,7 +127,7 @@ def single_mode_closed_form(tr: Truncation, tg: TimeGrid, grid: GridSpec) -> Che
     dual norm 1, so the quotient is the density's L^2_t L^2_z norm; (2, 2) is
     chosen for this closed form and is off the admissible line at n >= 2.
     """
-    r0 = mixed_norm(density(eigenfunction_system(tr, 1), CoefficientVector([1.0]), tg, grid), tg, grid, 2.0, 2.0)
+    r0 = mixed_norm(density(eigenfunction_system(tr, 1), [1.0], tr, tg, grid), tg, grid, 2.0, 2.0)
     n = grid.n
     err = abs(r0 - 2 ** (0.5 - n) * math.pi ** ((1 - n) / 2))
     return Check("single-mode-closed-form", err, err <= 1e-3, f"ratio {r0:.6f}")

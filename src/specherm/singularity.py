@@ -189,12 +189,6 @@ def abel_sum(cfg: ProbeConfig, t: float | np.ndarray) -> complex | np.ndarray:
     return complex(total[0]) if np.ndim(t) == 0 else total
 
 
-def geometric_closed_form(tau: float, t: float) -> complex:
-    """Exact value of the z = 0 series: e^{-s}/(1 - e^{-s}) with s = tau + i t."""
-    w = np.exp(-(tau + 1j * t))
-    return complex(w / (1.0 - w))
-
-
 def singular_term(z: complex, t: float, tau: float = 0.0) -> complex:
     """Leading singularity Gamma(z+1) (tau + i t)^{-z-1}, principal branch.
 

@@ -9,12 +9,11 @@ makes time sweeps cheap.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import ExponentPair, GridSpec, TimeGrid, make_time_grid, mixed_norm
+from .grids import GridSpec, TimeGrid, make_time_grid, mixed_norm
 from .indices import Truncation
 from .propagator import level_parts, synthesize
 
@@ -37,85 +36,43 @@ def admissible_exponents(n: int, q: float) -> float:
     return q / (n * (q - 1.0))
 
 
-@dataclass(frozen=True)
-class OrthonormalSystem:
-    """N coefficient vectors with exactly orthonormal columns."""
-
-    truncation: Truncation
-    coeffs: np.ndarray  # (|truncation|, N)
-    seed: int | None = None
-
-    def __post_init__(self):
-        c = np.ascontiguousarray(self.coeffs, dtype=complex)
-        if c.ndim != 2 or c.shape[0] != len(self.truncation):
-            raise ValueError("coefficient matrix inconsistent with truncation")
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def size(self) -> int:
-        return self.coeffs.shape[1]
-
-    def gram(self) -> np.ndarray:
-        return self.coeffs.conj().T @ self.coeffs
-
-
-@dataclass(frozen=True)
-class CoefficientVector:
-    """Density weights n_j; must be finite, and nonzero for ratio quotients."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.atleast_1d(np.asarray(self.values, dtype=complex))
-        if not np.all(np.isfinite(v)):
-            raise ValueError("coefficients must be finite")
-        object.__setattr__(self, "values", v)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def dual_norm(self, q: float) -> float:
-        """The l^{2q/(q+1)} norm appearing on the inequality's right-hand side."""
-        e = 2.0 * q / (q + 1.0)
-        return float(np.sum(np.abs(self.values) ** e) ** (1.0 / e))
-
-
-def sample_orthonormal_system(tr: Truncation, N: int, seed: int) -> OrthonormalSystem:
-    """Orthonormalized complex Gaussian columns; deterministic given the seed."""
+def sample_orthonormal_system(tr: Truncation, N: int, seed: int) -> np.ndarray:
+    """Orthonormalized complex Gaussian columns, shape (|tr|, N); deterministic given the seed."""
     if N > len(tr):
         raise ValueError(f"system size {N} exceeds truncation dimension {len(tr)}")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((len(tr), N)) + 1j * rng.standard_normal((len(tr), N))
     # column k of Q is column k of g orthogonalized against the previous ones,
     # up to a unit phase that no density sum_j n_j |u_j|^2 sees
-    q = np.linalg.qr(g, mode="reduced")[0]
-    return OrthonormalSystem(truncation=tr, coeffs=q, seed=seed)
+    return np.linalg.qr(g, mode="reduced")[0]
 
 
-def eigenfunction_system(tr: Truncation, N: int) -> OrthonormalSystem:
-    """The first N basis pairs themselves, as coefficient unit vectors."""
+def eigenfunction_system(tr: Truncation, N: int) -> np.ndarray:
+    """The first N basis pairs themselves, as coefficient unit vectors (columns)."""
     if N > len(tr):
         raise ValueError(f"system size {N} exceeds truncation dimension {len(tr)}")
-    return OrthonormalSystem(truncation=tr, coeffs=np.eye(len(tr), N, dtype=complex))
+    return np.eye(len(tr), N, dtype=complex)
 
 
-def density(
-    sys: OrthonormalSystem,
-    nj: CoefficientVector,
-    tg: TimeGrid,
-    grid: GridSpec,
-) -> np.ndarray:
+def density(coeffs: np.ndarray, nj: np.ndarray, tr: Truncation, tg: TimeGrid, grid: GridSpec) -> np.ndarray:
     """Pointwise density sum_j n_j |e^{-i t L} u_j|^2, shape (n_t, *grid.shape).
 
-    Synthesized from the level parts of the system one chunk of time nodes at a time.
+    ``coeffs`` holds the system's coefficient vectors u_j over ``tr`` as its
+    N columns and ``nj`` the N real weights.  Synthesized from the level parts
+    of the system one chunk of time nodes at a time.
     """
-    if len(nj) != sys.size:
-        raise ValueError("coefficient vector length differs from system size")
-    weights = nj.values.real if np.all(nj.values.imag == 0.0) else nj.values
-    levels, parts = level_parts(sys.coeffs, sys.truncation, grid)
+    coeffs = np.asarray(coeffs)
+    weights = np.asarray(nj, dtype=float)
+    if coeffs.ndim != 2 or coeffs.shape[0] != len(tr):
+        raise ValueError(f"coefficient matrix of shape {coeffs.shape} does not have {len(tr)} rows")
+    if weights.shape != coeffs.shape[1:]:
+        raise ValueError("weight vector length differs from system size")
+    if not np.all(np.isfinite(weights)):
+        raise ValueError("weights must be finite")
+    levels, parts = level_parts(coeffs, tr, grid)
     step = max(1, _CHUNK_ENTRIES // max(1, parts.shape[1]))
     buf = np.empty((min(step, tg.n_t), parts.shape[1]), dtype=complex)
-    out = np.empty((tg.n_t, grid.size), dtype=np.result_type(np.float64, weights))
+    out = np.empty((tg.n_t, grid.size))
     w2 = np.repeat(weights, 2)
     for start in range(0, tg.n_t, step):
         nodes = tg.nodes[start : start + step]
@@ -124,25 +81,6 @@ def density(
         sq *= sq
         out[start : start + len(nodes)] = sq.reshape(len(nodes), grid.size, -1) @ w2
     return out.reshape((tg.n_t,) + grid.shape)
-
-
-def strichartz_ratio(
-    sys: OrthonormalSystem,
-    nj: CoefficientVector,
-    p: float,
-    q: float,
-    tg: TimeGrid,
-    grid: GridSpec,
-) -> float:
-    """Quotient of the density's L^p_t L^q_z norm by the dual coefficient norm."""
-    pair = ExponentPair(p=p, q=q, n=grid.n)
-    if not pair.admissible():
-        warnings.warn(f"exponents (p={p}, q={q}) are off the admissible line", stacklevel=2)
-    rhs = nj.dual_norm(q)
-    if rhs == 0.0:
-        raise ValueError("coefficient vector is identically zero")
-    dens = density(sys, nj, tg, grid)
-    return mixed_norm(dens, tg, grid, p, q) / rhs
 
 
 @dataclass
@@ -159,6 +97,8 @@ class SweepConfig:
     def __post_init__(self):
         if max(self.system_sizes) > len(self.truncation):
             raise ValueError("largest system size exceeds truncation dimension")
+        if sum(N >= 2 for N in self.system_sizes) < 2:
+            raise ValueError(f"system sizes {self.system_sizes} have fewer than two sizes >= 2 for the growth fit")
 
 
 @dataclass
@@ -168,7 +108,6 @@ class SweepReport:
     rows: list = field(default_factory=list)  # (n, p, q, N, trial, ratio, lhs, rhs)
     max_ratio_by_cell: dict = field(default_factory=dict)  # (q, N) -> max ratio
     growth_exponent: float = math.nan
-    off_line_cells: list = field(default_factory=list)
 
     @property
     def max_ratio(self) -> float:
@@ -204,18 +143,12 @@ def sweep(config: SweepConfig) -> SweepReport:
     q_values = tuple(1.0 + j / (4 * n) for j in (0, 1, 2, 4))
     for N in config.system_sizes:
         for trial in range(config.trials):
-            sys = sample_orthonormal_system(tr, N, seed=config.seed + 1000 * N + trial)
-            nj = CoefficientVector(np.ones(N))
-            dens = density(sys, nj, tg, grid)
+            nj = np.ones(N)
+            dens = density(sample_orthonormal_system(tr, N, seed=config.seed + 1000 * N + trial), nj, tr, tg, grid)
             for q in q_values:
                 p = admissible_exponents(n, q)
-                pair = ExponentPair(p=p, q=q, n=n)
-                if not pair.admissible():
-                    cell = (q, N)
-                    if cell not in report.off_line_cells:
-                        report.off_line_cells.append(cell)
                 lhs = mixed_norm(dens, tg, grid, p, q)
-                rhs = nj.dual_norm(q)
+                rhs = float(np.linalg.norm(nj, 2.0 * q / (q + 1.0)))  # the dual coefficient norm
                 ratio = lhs / rhs
                 report.rows.append((n, p, q, N, trial, ratio, lhs, rhs))
                 key = (q, N)
@@ -223,7 +156,7 @@ def sweep(config: SweepConfig) -> SweepReport:
     sizes = sorted(config.system_sizes)
     fit_lhs = []
     for N in sizes:
-        dens = density(eigenfunction_system(tr, N), CoefficientVector(np.ones(N)), tg, grid)
+        dens = density(eigenfunction_system(tr, N), np.ones(N), tr, tg, grid)
         fit_lhs.append(mixed_norm(dens, tg, grid, 2.0, 2.0))
     report.growth_exponent = fit_growth_exponent(sizes, fit_lhs)
     report.rows.sort()

@@ -5,7 +5,6 @@ import pytest
 
 from specherm.basis import basis_matrix
 from specherm.grids import (
-    ExponentPair,
     Field,
     default_half_width,
     inner_product,
@@ -186,14 +185,3 @@ class TestMixedNorm:
         with pytest.raises(ValueError, match="finite"):
             mixed_norm(F, tg, grid4, 2, 2)
 
-
-class TestExponentPair:
-    def test_on_line(self):
-        assert ExponentPair(2, 2, 1).on_line()
-        assert ExponentPair(math.inf, 1, 1).on_line()
-        assert not ExponentPair(2, 3, 1).on_line()
-
-    def test_in_range(self):
-        assert ExponentPair(2, 2, 1).in_range()
-        assert not ExponentPair(2, 3, 1).in_range()
-        assert ExponentPair(1.5, 1.5, 2).in_range()

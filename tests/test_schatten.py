@@ -25,7 +25,7 @@ from specherm.schatten import (
     t_z_schatten,
     weighted_gram,
 )
-from specherm.strichartz import CoefficientVector, OrthonormalSystem, density, sample_orthonormal_system
+from specherm.strichartz import density, sample_orthonormal_system
 from specherm.twisted import SpectralCoeffs, cached_basis, inverse_transform
 
 
@@ -225,9 +225,9 @@ class TestWeightedGram:
         if system == "matched":
             U, nj = matched_system(tr, tg, grid, W, alpha=4.0)
         else:
-            U = sample_orthonormal_system(tr, 12, seed=1).coeffs
+            U = sample_orthonormal_system(tr, 12, seed=1)
             nj = np.random.default_rng(1).uniform(0.1, 1.0, 12)
-        rho = density(OrthonormalSystem(tr, U), CoefficientVector(nj), tg, grid)
+        rho = density(U, nj, tr, tg, grid)
         lhs = np.sum(rho * np.abs(W) ** 2 * grid.weight_tensor) / tg.n_t
         K = weighted_gram(W, tr, tg, grid)
         rhs = np.sum(nj * np.einsum("pj,pq,qj->j", U.conj(), K, U).real)
@@ -479,7 +479,7 @@ class TestDuality:
         wn = mixed_norm(W, tg, grid, 4.0, 4.0, measure="dt/2pi")
         assert rep.sandwich_ratios[0] == pytest.approx(sandwich_schatten(W, tr, tg, grid, 4.0).norm / wn**2, rel=1e-12)
         coeffs, nj = matched_system(tr, tg, grid, W, alpha=4.0)
-        dens = density(OrthonormalSystem(tr, coeffs), CoefficientVector(nj), tg, grid)
+        dens = density(coeffs, nj, tr, tg, grid)
         dn = mixed_norm(dens, tg, grid, 2.0, 2.0, measure="dt/2pi")
         assert rep.density_ratios[0] == pytest.approx(dn / np.linalg.norm(nj, ord=4.0 / 3.0), rel=1e-12)
 
