@@ -22,10 +22,6 @@ from .indices import MultiIndexPair, Truncation, multi_indices
 _ENVELOPE_CUTOFF = 2960.0
 
 
-class InsufficientQuadratureError(ValueError):
-    """Raised when a caller requests fewer quadrature nodes than the degree needs."""
-
-
 def default_quad_order(k_max: int) -> int:
     return 2 * k_max + 20
 
@@ -107,20 +103,13 @@ def _as_coords(zeta, n: int) -> tuple[np.ndarray, np.ndarray]:
     return z.real, z.imag
 
 
-def special_hermite(pair: MultiIndexPair, zeta, quad_order: int | None = None) -> complex:
+def special_hermite(pair: MultiIndexPair, zeta) -> complex:
     """Two-index eigenfunction Phi_{mu nu}(zeta), zeta in C^n.
 
     The defining integral factorizes over coordinates, so this is a product
-    of n one-dimensional quadratures.
+    of n one-dimensional quadratures at the order of the pair's largest degree.
     """
-    k = max(pair.mu.degree, pair.nu.degree)
-    needed = default_quad_order(k)
-    if quad_order is None:
-        quad_order = needed
-    elif quad_order < needed:
-        raise InsufficientQuadratureError(
-            f"quad_order={quad_order} below required {needed} for degree {k}"
-        )
+    quad_order = default_quad_order(max(pair.mu.degree, pair.nu.degree))
     x, y = _as_coords(zeta, pair.n)
     out = 1.0 + 0.0j
     for j in range(pair.n):
@@ -143,20 +132,15 @@ def phi_k(k: int, zeta, n: int):
     return (2.0 * math.pi) ** (n / 2.0) * total
 
 
-def basis_matrix(tr: Truncation, grid, quad_order: int | None = None) -> np.ndarray:
-    """Samples of every basis function in ``tr`` on ``grid``.
+def basis_matrix(tr: Truncation, grid) -> np.ndarray:
+    """Samples of every basis function in ``tr`` on ``grid``, at the quadrature order k_max needs.
 
     Returns a complex array of shape (len(tr), *grid.shape); rows follow the
     truncation's ordering.
     """
-    needed = default_quad_order(tr.k_max)
-    if quad_order is None:
-        quad_order = needed
-    elif quad_order < needed:
-        raise InsufficientQuadratureError(f"quad_order={quad_order} below required {needed}")
     # one 1D table T[mu, nu, x, y] on the M x M plane; Phi_{mu nu} is the outer product of n of its entries
     x, y = np.meshgrid(grid.axis, grid.axis, indexing="ij")
-    table = _sh1d_table(tr.k_max, x, y, quad_order)
+    table = _sh1d_table(tr.k_max, x, y, default_quad_order(tr.k_max))
     out = np.empty((len(tr),) + grid.shape, dtype=complex)
     for i, pair in enumerate(tr.index_set):
         out[i] = reduce(np.multiply.outer, [table[m, v] for m, v in zip(pair.mu.entries, pair.nu.entries)])

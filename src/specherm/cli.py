@@ -22,7 +22,6 @@ from .propagator import ComplexTime
 from .schatten import duality_check, random_smoothed_weight
 from .singularity import default_config, remainder_profile
 from .strichartz import SweepConfig, sweep
-from .twisted import SpectralCoeffs
 
 
 def _read_config(path: str) -> dict:
@@ -83,6 +82,8 @@ def resolve(config_path, defaults: dict | None = None, **flags) -> dict:
             merged[key] = value
     if merged["fmt"] not in ("csv", "json"):
         raise click.UsageError(f"bad format: {merged['fmt']}")
+    if merged["seed"] < 0:
+        raise click.UsageError(f"seed must be >= 0, got {merged['seed']}")
     return merged
 
 
@@ -149,12 +150,12 @@ def verify_kernel(config_path, out, fmt, **flags):
     p = resolve(config_path, out=out, fmt=fmt, **flags)
     tr, grid, _ = _discretization(p)
     rng = np.random.default_rng(p["seed"])
-    c = SpectralCoeffs(tr, rng.standard_normal(len(tr)) + 1j * rng.standard_normal(len(tr)))
+    c = rng.standard_normal(len(tr)) + 1j * rng.standard_normal(len(tr))
     results = [
-        checks.kernel_vs_spectral(c, grid, ComplexTime(0.5, 0.3)),
+        checks.kernel_vs_spectral(c, tr, grid, ComplexTime(0.5, 0.3)),
         checks.kernel_modulus_law(np.linspace(0.3, math.pi - 0.3, 7), (0.0, 1.0 + 0.5j), p["n"]),
-        checks.periodicity(c, 1.0),
-        checks.unitarity(c, 1.0),
+        checks.periodicity(c, tr, 1.0),
+        checks.unitarity(c, tr, 1.0),
     ]
     finish(results, p, {"kernel_vs_spectral": results[0].value, "kernel_bound": results[1].value})
 
@@ -231,7 +232,7 @@ def duality_cmd(config_path, out, fmt, trials, **flags):
     p = resolve(config_path, defaults={"kmax": 6}, out=out, fmt=fmt, **flags)
     tr, grid, tg = _discretization(p)
     weights = [random_smoothed_weight(tg, grid, p["seed"] + k) for k in range(trials)]
-    rep = duality_check(tr, tg, grid, weights, alpha=4.0, w_exponents=(4.0, 4.0), density_exponents=(2.0, 2.0))
+    rep = duality_check(tr, tg, grid, weights, alpha=4.0, density_exponents=(2.0, 2.0))
     results = [checks.constants_finite(rep), checks.constants_comparable(rep)]
     payload = {"alpha": rep.alpha, "max_sandwich_ratio": rep.max_sandwich, "max_density_ratio": rep.max_density,
                "factor": results[1].value, "skipped": rep.skipped}

@@ -32,8 +32,8 @@ class GridSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("dimension must be >= 1")
-        if self.L <= 0:
-            raise ValueError("half-width must be positive")
+        if not 0 < self.L < math.inf:  # NaN fails both comparisons
+            raise ValueError("half-width must be positive and finite")
         if self.M < 8 or self.M % 2 != 0:
             raise ValueError("points per axis must be an even integer >= 8")
 

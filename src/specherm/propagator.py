@@ -15,7 +15,7 @@ import numpy as np
 
 from .grids import Field, GridSpec, TimeGrid, make_grid, sample_field
 from .indices import Truncation
-from .twisted import SpectralCoeffs, cached_basis, twisted_convolve
+from .twisted import cached_basis, coefficient_vector, twisted_convolve
 
 _TWO_PI = 2.0 * math.pi
 
@@ -79,9 +79,9 @@ def mehler_kernel_field(eta: ComplexTime, grid: GridSpec) -> Field:
     return sample_field(grid, lambda *zs: mehler_kernel(eta, np.stack(zs, axis=-1), grid.n))
 
 
-def evolve_spectral(c: SpectralCoeffs, eta: ComplexTime) -> SpectralCoeffs:
-    """Diagonal action: each coefficient is damped/rotated by e^{-eta (2|nu| + n)}."""
-    return SpectralCoeffs(c.truncation, c.coeffs * np.exp(-eta.eta * c.truncation.eigenvalues()))
+def evolve_spectral(c, tr: Truncation, eta: ComplexTime) -> np.ndarray:
+    """Diagonal action on a coefficient vector over ``tr``: each entry is damped/rotated by e^{-eta (2|nu| + n)}."""
+    return coefficient_vector(c, tr) * np.exp(-eta.eta * tr.eigenvalues())
 
 
 def evolve_kernel(f: Field, eta: ComplexTime) -> Field:
@@ -93,9 +93,9 @@ def evolve_kernel(f: Field, eta: ComplexTime) -> Field:
     return twisted_convolve(f, (kernel,) * f.grid.n)
 
 
-def propagate_coeffs(c: SpectralCoeffs, t: float) -> SpectralCoeffs:
+def propagate_coeffs(c, tr: Truncation, t: float) -> np.ndarray:
     """Unitary evolution in coefficient space; every multiplier has modulus 1."""
-    return evolve_spectral(c, ComplexTime.reduced(0.0, t))
+    return evolve_spectral(c, tr, ComplexTime.reduced(0.0, t))
 
 
 def level_parts(coeffs, tr: Truncation, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -215,7 +215,6 @@ def duality_check(
     grid: GridSpec,
     weights: list[np.ndarray],
     alpha: float,
-    w_exponents: tuple[float, float],
     density_exponents: tuple[float, float],
 ) -> DualityReport:
     """Evaluate both duality-principle inequalities, one sample per weight.
@@ -225,19 +224,22 @@ def duality_check(
     of the sandwich, compared with the squared mixed norm of W, and the
     matched system of ``matched_system``, whose density sum
     n_j |e^{-i t L} u_j|^2 has its mixed norm compared with the dual-exponent
-    coefficient norm.  A side that degenerates (zero weight norm, empty
-    system) is skipped and counted, so a zero weight counts twice; a side
-    left with no ratio at all raises ``ValueError``.
+    coefficient norm.  By the duality principle (Frank-Sabin 2017) a density
+    in L^p_t L^q_z pairs with a weight in L^{2p'}_t L^{2q'}_z (1' = inf), so
+    ``density_exponents`` = (p, q) fixes the weight's.  A side that
+    degenerates (zero weight norm, empty system) is skipped and counted, so a
+    zero weight counts twice; a side left with no ratio at all raises ``ValueError``.
     """
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
     alpha_dual = math.inf if alpha == 1 else alpha / (alpha - 1)
+    weight_exponents = [math.inf if e == 1 else 2 * e / (e - 1) for e in density_exponents]
     sandwich_ratios = []
     density_ratios = []
     skipped = 0
     for w in weights:
         evals, evecs = np.linalg.eigh(weighted_gram(w, tr, tg, grid))
-        wn = mixed_norm(w, tg, grid, *w_exponents, measure="dt/2pi")
+        wn = mixed_norm(w, tg, grid, *weight_exponents, measure="dt/2pi")
         if wn == 0.0:
             skipped += 1
         else:

@@ -230,34 +230,20 @@ def remainder_profile(cfg: ProbeConfig) -> RemainderProfile:
     )
 
 
-_FIT_WINDOW = (0.01, 0.3)
-
-
 def h_kernel(z: complex, u: complex, w: complex, t: float, tau: float, n: int = 1) -> complex:
     """H(u, w, t) = t^{-z-1} (2 pi)^n K_{tau + i t}(u - w)."""
     eta = ComplexTime.reduced(tau, t)
     return (t ** (-z - 1.0)) * (2.0 * math.pi) ** n * mehler_kernel(eta, u - w, n)
 
 
-def h_kernel_rate(
-    z: complex,
-    u: complex = 0.0,
-    w: complex = 0.0,
-    t_samples=None,
-    tau: float = 1e-6,
-    n: int = 1,
-) -> float:
-    """Fitted log-log slope of |H(u, w, t)| versus t.
+def h_kernel_rate(z: complex, n: int = 1) -> float:
+    """Fitted log-log slope of |H(0, 0, t)| versus t, at tau = 1e-6.
 
-    The fit window is restricted to [0.01, 0.3]: below it the tau
-    regularization contaminates, above it the smooth remainder does.  The
-    expected slope is -Re(z + 1 + n).
+    The 12 fit times are geometric in [0.012, 0.28], inside the window
+    [0.01, 0.3]: below it the tau regularization contaminates, above it the
+    smooth remainder does.  The expected slope is -Re(z + 1 + n).
     """
-    if t_samples is None:
-        t_samples = np.geomspace(0.012, 0.28, 12)
-    ts = np.array([t for t in np.atleast_1d(t_samples) if _FIT_WINDOW[0] <= t <= _FIT_WINDOW[1]])
-    if ts.size < 4:
-        raise ValueError("need at least 4 time samples inside the fit window")
-    vals = np.array([abs(h_kernel(z, u, w, t, tau, n)) for t in ts])
+    ts = np.geomspace(0.012, 0.28, 12)
+    vals = np.array([abs(h_kernel(z, 0.0, 0.0, t, 1e-6, n)) for t in ts])
     slope = np.polyfit(np.log(ts), np.log(vals), 1)[0]
     return float(slope)

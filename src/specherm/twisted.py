@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,19 +39,14 @@ def cached_basis(tr: Truncation, grid: GridSpec) -> np.ndarray:
     return basis
 
 
-@dataclass
-class SpectralCoeffs:
-    """Coefficients of an expansion over a truncated two-index basis."""
-
-    truncation: Truncation
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=complex)
-        if self.coeffs.shape != (len(self.truncation),):
-            raise ValueError("coefficient vector does not match truncation size")
-        if not np.all(np.isfinite(self.coeffs)):
-            raise ValueError("coefficients must be finite")
+def coefficient_vector(c, tr: Truncation) -> np.ndarray:
+    """``c`` as a complex array over the truncation; ValueError unless it has one finite entry per pair."""
+    c = np.asarray(c, dtype=complex)
+    if c.shape != (len(tr),):
+        raise ValueError("coefficient vector does not match truncation size")
+    if not np.all(np.isfinite(c)):
+        raise ValueError("coefficients must be finite")
+    return c
 
 
 def _difference_samples(values: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -142,17 +136,16 @@ def phi_k_field(k: int, grid: GridSpec) -> Field:
     return sample_field(grid, lambda *zs: _phi_k_point(k, np.stack(zs, axis=-1), grid.n))
 
 
-def forward_transform(f: Field, tr: Truncation) -> SpectralCoeffs:
-    """Coefficients (f, Phi_{mu nu}) for every pair in the truncation."""
+def forward_transform(f: Field, tr: Truncation) -> np.ndarray:
+    """Coefficients (f, Phi_{mu nu}) for every pair in the truncation, in its order."""
     basis = cached_basis(tr, f.grid)
     wvals = f.values * f.grid.weight_tensor
-    coeffs = np.tensordot(np.conj(basis), wvals, axes=(tuple(range(1, basis.ndim)), tuple(range(wvals.ndim))))
-    return SpectralCoeffs(tr, coeffs)
+    return np.tensordot(np.conj(basis), wvals, axes=(tuple(range(1, basis.ndim)), tuple(range(wvals.ndim))))
 
 
-def inverse_transform(c: SpectralCoeffs, grid: GridSpec) -> Field:
-    basis = cached_basis(c.truncation, grid)
-    return Field(grid, np.tensordot(c.coeffs, basis, axes=(0, 0)))
+def inverse_transform(c, tr: Truncation, grid: GridSpec) -> Field:
+    """The expansion sum_p c_p Phi_p over the truncation, sampled on the grid."""
+    return Field(grid, np.tensordot(coefficient_vector(c, tr), cached_basis(tr, grid), axes=(0, 0)))
 
 
 def project_k(f: Field, k: int) -> Field:

@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from specherm.basis import (
-    InsufficientQuadratureError,
-    basis_matrix,
-    default_quad_order,
-    hermite_1d,
-    phi_k,
-    special_hermite,
-)
+from specherm.basis import _sh1d_table, basis_matrix, default_quad_order, hermite_1d, phi_k, special_hermite
 from specherm.grids import default_half_width, make_grid
 from specherm.indices import MultiIndex, MultiIndexPair, Truncation, enumerate_pairs, multi_indices
 
@@ -76,7 +69,7 @@ class TestSpecialHermite:
     def test_doubled_quadrature_agrees(self):
         p = pair([3], [2])
         base = special_hermite(p, 1.1 - 0.4j)
-        refined = special_hermite(p, 1.1 - 0.4j, quad_order=2 * default_quad_order(3))
+        refined = complex(_sh1d_table(3, 1.1, -0.4, 2 * default_quad_order(3))[3, 2])
         assert base == pytest.approx(refined, rel=1e-12)
 
     def test_coordinate_factorization(self):
@@ -92,12 +85,6 @@ class TestSpecialHermite:
 
     def test_far_field_is_zero(self):
         assert special_hermite(pair([0], [0]), 80.0 + 0.0j) == 0.0
-
-    def test_insufficient_quadrature_rejected(self):
-        with pytest.raises(InsufficientQuadratureError):
-            special_hermite(pair([4], [4]), 0.0, quad_order=10)
-        with pytest.raises(InsufficientQuadratureError):
-            basis_matrix(enumerate_pairs(1, 4), make_grid(1, 6.0, 16), quad_order=10)
 
 
 class TestBasisMatrix:

@@ -31,6 +31,18 @@ def test_import_leaves_scipy_linalg_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+INVALID_COMMON = (
+    ("--seed", "-1"),
+    ("--grid-l", "nan"),
+    ("--grid-l", "inf"),
+    ("--grid-l", "0"),
+    ("--nt", "0"),
+    ("--grid-m", "9"),
+    ("--n", "0"),
+    ("--kmax", "-1"),
+)
+
+
 class TestUsage:
     def test_help(self, runner):
         result = runner.invoke(main, ["--help"])
@@ -48,17 +60,13 @@ class TestUsage:
         assert result.exit_code == 2
 
     @pytest.mark.parametrize("args", [
-        ["verify-kernel", "--grid-m", "9"],
-        ["verify-kernel", "--grid-l", "-1"],
-        ["verify-kernel", "--kmax", "-1"],
-        ["verify-kernel", "--n", "0"],
-        ["schatten-bound", "--nt", "0"],
+        # every subcommand with every invalid common value, so a new subcommand is covered too
+        *([command, *value] for command in sorted(main.commands) for value in INVALID_COMMON),
+        # values only some subcommands take
         ["schatten-bound", "--trials", "0"],
         ["duality-check", "--trials", "0"],
-        ["duality-check", "--grid-l", "0"],
         ["strichartz-sweep", "--trials", "0"],
-        ["singularity", "--n", "0"],
-        ["verify-basis", "--grid-m", "8"],
+        ["verify-basis", "--grid-m", "8"],  # too coarse for the Laplacian
         ["strichartz-sweep", "--kmax", "0"],  # one pair: too few system sizes for the growth fit
         ["strichartz-sweep", "--n", "2", "--kmax", "0"],
     ])
@@ -95,6 +103,15 @@ class TestConfigFile:
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
         assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("command", sorted(main.commands))
+    def test_negative_seed_is_usage_error(self, runner, tmp_path, command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = -1\n")
+        result = runner.invoke(main, [command, "--config", str(cfg)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "seed must be >= 0" in result.output
 
     def test_flag_overrides_config(self, runner, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -39,6 +39,11 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             make_grid(0, 8.0, 64)
 
+    @pytest.mark.parametrize("L", [math.nan, math.inf, 0.0])
+    def test_half_width_must_be_positive_and_finite(self, L):
+        with pytest.raises(ValueError, match="half-width"):
+            make_grid(1, L, 64)
+
     def test_default_half_width_covers_turning_point(self):
         assert default_half_width(1, 4) > math.sqrt(2 * (2 * 4 + 1))
 

@@ -8,6 +8,7 @@ import pytest
 from scipy.special import gamma as scipy_gamma
 from scipy.special import zeta
 
+from specherm import checks
 from specherm.singularity import (
     _BLOCK,
     ProbeConfig,
@@ -327,9 +328,10 @@ class TestHKernelRate:
         # Re z = -(n+1) makes |H| bounded in t
         assert abs(h_kernel_rate(complex(-2.0))) <= 0.1
 
-    def test_too_few_samples_rejected(self):
-        with pytest.raises(ValueError):
-            h_kernel_rate(-0.5, t_samples=[0.02, 0.05, 0.1])
+    def test_rate_law_check_passes_at_n2(self):
+        # the check behind `singularity --n 2`: the slopes at n = 2 are -(z + 3)
+        result = checks.kernel_rate_law(2)
+        assert result.passed, result.detail
 
     def test_kernel_value_matches_direct_formula(self):
         from specherm.propagator import ComplexTime, mehler_kernel

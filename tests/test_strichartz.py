@@ -17,7 +17,7 @@ from specherm.strichartz import (
     sample_orthonormal_system,
     sweep,
 )
-from specherm.twisted import SpectralCoeffs, cached_basis, inverse_transform
+from specherm.twisted import cached_basis, inverse_transform
 
 
 class TestAdmissibleExponents:
@@ -112,7 +112,7 @@ class TestDensity:
         nj = np.array([1.0, 0.5, 2.0, 0.25, 1.5])
         want = np.stack([
             sum(
-                nj[j] * np.abs(inverse_transform(propagate_coeffs(SpectralCoeffs(tr, U[:, j]), t), grid).values) ** 2
+                nj[j] * np.abs(inverse_transform(propagate_coeffs(U[:, j], tr, t), tr, grid).values) ** 2
                 for j in range(N)
             )
             for t in tg.nodes

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specherm import twisted
+from specherm import checks, twisted
 from specherm.grids import Field, default_half_width, inner_product, lp_norm, make_grid, zero_field
 from specherm.indices import MultiIndex, MultiIndexPair, enumerate_pairs
 from specherm.twisted import (
-    SpectralCoeffs,
     apply_twisted_laplacian,
     cached_basis,
     forward_transform,
@@ -32,13 +31,13 @@ def spectral_projection(f, k, tr):
     The reference for ``project_k``'s twisted convolution with phi_k.
     """
     mask = np.array([pair.nu.degree == k for pair in tr.index_set])
-    return inverse_transform(SpectralCoeffs(tr, forward_transform(f, tr).coeffs * mask), f.grid)
+    return inverse_transform(forward_transform(f, tr) * mask, tr, f.grid)
 
 
 def random_band_limited(tr, grid, seed=0):
     rng = np.random.default_rng(seed)
-    c = SpectralCoeffs(tr, rng.standard_normal(len(tr)) + 1j * rng.standard_normal(len(tr)))
-    return c, inverse_transform(c, grid)
+    c = rng.standard_normal(len(tr)) + 1j * rng.standard_normal(len(tr))
+    return c, inverse_transform(c, tr, grid)
 
 
 def difference_resample(values, M):
@@ -238,20 +237,20 @@ class TestTransforms:
         c = forward_transform(mode(tr4, grid4, 0, 0), tr4)
         e0 = np.zeros(len(tr4))
         e0[tr4.position(MultiIndexPair(MultiIndex((0,)), MultiIndex((0,))))] = 1.0
-        assert np.abs(c.coeffs - e0).max() < 1e-6
+        assert np.abs(c - e0).max() < 1e-6
 
     def test_plancherel(self, tr4, grid4):
         _, f = random_band_limited(tr4, grid4, seed=4)
         c = forward_transform(f, tr4)
-        assert np.sum(np.abs(c.coeffs) ** 2) == pytest.approx(lp_norm(f, 2) ** 2, abs=1e-6)
+        assert np.sum(np.abs(c) ** 2) == pytest.approx(lp_norm(f, 2) ** 2, abs=1e-6)
 
     def test_zero_field_zero_coeffs(self, tr4, grid4):
-        assert np.all(forward_transform(zero_field(grid4), tr4).coeffs == 0.0)
+        assert np.all(forward_transform(zero_field(grid4), tr4) == 0.0)
 
     def test_round_trip_band_limited(self, tr4, grid4):
         c0, f = random_band_limited(tr4, grid4, seed=9)
         c1 = forward_transform(f, tr4)
-        assert np.abs(c1.coeffs - c0.coeffs).max() < 1e-6
+        assert np.abs(c1 - c0).max() < 1e-6
 
     def test_cached_basis_is_read_only(self, tr4, grid4):
         before = cached_basis(tr4, grid4)[0].copy()
@@ -275,8 +274,19 @@ class TestTransforms:
         assert cached_basis(tr, grid) is rebuilt
 
     def test_inverse_of_zero(self, tr4, grid4):
-        c = SpectralCoeffs(tr4, np.zeros(len(tr4), dtype=complex))
-        assert np.all(inverse_transform(c, grid4).values == 0.0)
+        c = np.zeros(len(tr4), dtype=complex)
+        assert np.all(inverse_transform(c, tr4, grid4).values == 0.0)
+
+    @pytest.mark.parametrize("size_change", [-1, 1])
+    def test_inverse_rejects_wrong_length(self, tr4, grid4, size_change):
+        with pytest.raises(ValueError, match="truncation size"):
+            inverse_transform(np.ones(len(tr4) + size_change, dtype=complex), tr4, grid4)
+
+    def test_inverse_rejects_nan(self, tr4, grid4):
+        c = np.ones(len(tr4), dtype=complex)
+        c[3] = np.nan
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            inverse_transform(c, tr4, grid4)
 
 
 class TestProjections:
@@ -332,6 +342,15 @@ class TestTwistedLaplacian:
 
     def test_zero_field(self, grid4):
         assert np.all(apply_twisted_laplacian(zero_field(grid4).values, grid4) == 0.0)
+
+    def test_eigenrelation_check_fails_on_nan(self, tr4, grid4, monkeypatch):
+        # a NaN residual must not vanish from the running maximum: max(0.0, nan) is 0.0
+        basis = cached_basis(tr4, grid4).copy()
+        basis[2, 5, 7] = np.nan
+        monkeypatch.setattr(checks, "cached_basis", lambda tr, grid: basis)
+        result = checks.eigenrelation(tr4, grid4)
+        assert math.isnan(result.value)
+        assert not result.passed
 
     def test_symmetry(self, tr4, grid4):
         _, f = random_band_limited(tr4, grid4, seed=12)
