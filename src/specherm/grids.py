@@ -9,6 +9,7 @@ vanishes on a node.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -36,6 +37,12 @@ class GridSpec:
             raise ValueError("half-width must be positive and finite")
         if self.M < 8 or self.M % 2 != 0:
             raise ValueError("points per axis must be an even integer >= 8")
+        # the corner weight (spacing/2)^{2n}, formed as weight_tensor forms it, is the smallest
+        corner = math.prod([self.spacing * 0.5] * (2 * self.n))
+        if not sys.float_info.min <= corner <= sys.float_info.max:
+            raise ValueError(
+                f"half-width {self.L} gives a smallest quadrature weight {corner:.3g}, not a normal float"
+            )
 
     @property
     def spacing(self) -> float:

@@ -118,6 +118,16 @@ def level_parts(coeffs, tr: Truncation, grid: GridSpec) -> tuple[np.ndarray, np.
     return levels, parts.reshape(len(levels), -1)
 
 
+def _half_period_nodes(n_t: int) -> int:
+    """How many leading nodes of an n_t-node time grid determine e^{-i t L} on all of them.
+
+    Every eigenvalue 2|nu| + n has the parity of n, so e^{-i (t + pi) L} = (-1)^n e^{-i t L}.
+    On an even grid the node t_{a + n_t/2} is t_a + pi, and the first n_t/2
+    nodes fix the rest; an odd grid pairs no nodes this way.
+    """
+    return n_t // 2 if n_t % 2 == 0 else n_t
+
+
 def synthesize(levels: np.ndarray, parts: np.ndarray, nodes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """e^{-i t L} u at each time t in ``nodes`` from ``level_parts``: one product, one row per time."""
     return np.matmul(np.exp(-1j * np.outer(nodes, levels)), parts, out=out)
@@ -128,8 +138,13 @@ def propagate_samples(coeffs, tr: Truncation, tg: TimeGrid, grid: GridSpec) -> n
 
     ``coeffs`` holds the coefficients of u over ``tr``; a matrix with one
     column per function gives a trailing function axis.  Returns shape
-    (n_t, *grid.shape) or (n_t, *grid.shape, N).
+    (n_t, *grid.shape) or (n_t, *grid.shape, N).  On an even grid only the
+    first half of the nodes is synthesized; the second is (-1)^n times it.
     """
     c = np.asarray(coeffs, dtype=complex)
-    vals = synthesize(*level_parts(c, tr, grid), tg.nodes)
+    levels, parts = level_parts(c, tr, grid)
+    half = _half_period_nodes(tg.n_t)
+    vals = np.empty((tg.n_t, parts.shape[1]), dtype=complex)
+    synthesize(levels, parts, tg.nodes[:half], out=vals[:half])
+    np.multiply(vals[:half], (-1) ** grid.n, out=vals.reshape(-1, half, parts.shape[1])[1:])
     return vals.reshape((tg.n_t,) + grid.shape + c.shape[1:])

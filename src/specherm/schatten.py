@@ -20,7 +20,7 @@ import numpy as np
 
 from .grids import GridSpec, TimeGrid, make_grid, mixed_norm
 from .indices import MultiIndex, Truncation
-from .propagator import ComplexTime, mehler_kernel_field, propagate_samples
+from .propagator import ComplexTime, _half_period_nodes, mehler_kernel_field, propagate_samples
 from .singularity import gamma
 from .strichartz import density
 from .twisted import cached_basis, twisted_convolve_batch
@@ -161,7 +161,9 @@ def weighted_gram(w_samples: np.ndarray, tr: Truncation, tg: TimeGrid, grid: Gri
     eigenvalue difference d, entry (p, q) is sum_z conj(B_p) c_{lambda_p - lambda_q} B_q.
     The block row of the eigenspace lambda_i is therefore
     conj(B_i) (B * c_{lambda_i - lambda})^T, so K costs one spatial Gram
-    rather than one per time node, and the frame A is never formed.
+    rather than one per time node, and the frame A is never formed.  Every
+    difference d is even, so e^{i t d} is pi-periodic: on an even grid the
+    weights |W_a|^2 and |W_{a + n_t/2}|^2 are summed before the phases multiply them.
     """
     w = np.asarray(w_samples)
     if w.shape != (tg.n_t,) + grid.shape:
@@ -171,8 +173,9 @@ def weighted_gram(w_samples: np.ndarray, tr: Truncation, tg: TimeGrid, grid: Gri
     levels = np.unique(lam)
     diffs, index = np.unique(levels[:, None] - lam, return_inverse=True)
     index = index.reshape(len(levels), len(lam))
-    w2 = np.abs(w.reshape(tg.n_t, -1)) ** 2 * (grid.weight_tensor.ravel() / tg.n_t)
-    c = np.exp(1j * np.outer(diffs, tg.nodes)) @ w2  # (n_diffs, n_space)
+    half = _half_period_nodes(tg.n_t)
+    w2 = (np.abs(w.reshape(-1, half, grid.size)) ** 2).sum(axis=0) * (grid.weight_tensor.ravel() / tg.n_t)
+    c = np.exp(1j * np.outer(diffs, tg.nodes[:half])) @ w2  # (n_diffs, n_space)
     K = np.empty((len(tr), len(tr)), dtype=complex)
     for level, row in zip(levels, index):
         block = lam == level

@@ -15,7 +15,7 @@ import numpy as np
 
 from .grids import GridSpec, TimeGrid, make_time_grid, mixed_norm
 from .indices import Truncation
-from .propagator import level_parts, synthesize
+from .propagator import _half_period_nodes, level_parts, synthesize
 
 # complex entries of e^{-i t L} u_j that ``density`` holds at a time (at least one
 # time node): a chunk squared in one reused buffer, never the whole (n_t, M^2n, N) block
@@ -59,7 +59,9 @@ def density(coeffs: np.ndarray, nj: np.ndarray, tr: Truncation, tg: TimeGrid, gr
 
     ``coeffs`` holds the system's coefficient vectors u_j over ``tr`` as its
     N columns and ``nj`` the N real weights.  Synthesized from the level parts
-    of the system one chunk of time nodes at a time.
+    of the system one chunk of time nodes at a time.  The density is
+    pi-periodic in t, so on an even grid only the first half of the nodes is
+    synthesized and squared, and the second half is a copy of it.
     """
     coeffs = np.asarray(coeffs)
     weights = np.asarray(nj, dtype=float)
@@ -70,16 +72,18 @@ def density(coeffs: np.ndarray, nj: np.ndarray, tr: Truncation, tg: TimeGrid, gr
     if not np.all(np.isfinite(weights)):
         raise ValueError("weights must be finite")
     levels, parts = level_parts(coeffs, tr, grid)
+    half = _half_period_nodes(tg.n_t)
     step = max(1, _CHUNK_ENTRIES // max(1, parts.shape[1]))
-    buf = np.empty((min(step, tg.n_t), parts.shape[1]), dtype=complex)
+    buf = np.empty((min(step, half), parts.shape[1]), dtype=complex)
     out = np.empty((tg.n_t, grid.size))
     w2 = np.repeat(weights, 2)
-    for start in range(0, tg.n_t, step):
-        nodes = tg.nodes[start : start + step]
+    for start in range(0, half, step):
+        nodes = tg.nodes[start : min(start + step, half)]
         # |u|^2 = re^2 + im^2: square the interleaved parts in place, weight both by n_j
         sq = synthesize(levels, parts, nodes, out=buf[: len(nodes)]).view(np.float64)
         sq *= sq
         out[start : start + len(nodes)] = sq.reshape(len(nodes), grid.size, -1) @ w2
+    out.reshape(-1, half, grid.size)[1:] = out[:half]
     return out.reshape((tg.n_t,) + grid.shape)
 
 

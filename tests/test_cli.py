@@ -36,6 +36,7 @@ INVALID_COMMON = (
     ("--grid-l", "nan"),
     ("--grid-l", "inf"),
     ("--grid-l", "0"),
+    ("--grid-l", "1e-300"),  # every quadrature weight underflows to 0
     ("--nt", "0"),
     ("--grid-m", "9"),
     ("--n", "0"),

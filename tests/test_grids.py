@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -43,6 +44,17 @@ class TestGridSpec:
     def test_half_width_must_be_positive_and_finite(self, L):
         with pytest.raises(ValueError, match="half-width"):
             make_grid(1, L, 64)
+
+    @pytest.mark.parametrize("n, L", [(1, 1e-300), (2, 1e-100), (1, 1e200), (2, 1e100)])
+    def test_smallest_weight_must_be_normal(self, n, L):
+        # (spacing/2)^{2n} underflows to 0 or overflows to inf
+        with pytest.raises(ValueError, match="not a normal float"):
+            make_grid(n, L, 16)
+
+    @pytest.mark.parametrize("n, L", [(1, 1e-150), (2, 1e-75)])
+    def test_small_half_width_with_normal_weights_accepted(self, n, L):
+        g = make_grid(n, L, 16)
+        assert g.weight_tensor.min() >= sys.float_info.min
 
     def test_default_half_width_covers_turning_point(self):
         assert default_half_width(1, 4) > math.sqrt(2 * (2 * 4 + 1))

@@ -188,6 +188,17 @@ class TestPropagate:
         b = propagate_coeffs(c, tr4, t + 2 * math.pi)
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("n, k_max", [(1, 4), (2, 2)])
+    def test_half_period_sign(self, n, k_max):
+        # every eigenvalue 2|nu| + n has the parity of n: e^{-i (t + pi) L} = (-1)^n e^{-i t L}
+        tr = enumerate_pairs(n, k_max)
+        rng = np.random.default_rng(13)
+        for t in rng.uniform(-math.pi, 0.0, 8):
+            c = random_coeffs(tr, seed=int(rng.integers(2**16)))
+            a = propagate_coeffs(c, tr, t)
+            b = propagate_coeffs(c, tr, t + math.pi)
+            assert np.abs(b - (-1) ** n * a).max() <= 1e-14 * np.abs(c).max()
+
     def test_field_round_trip(self, tr4, grid4):
         c = random_coeffs(tr4, seed=11)
         f = inverse_transform(c, tr4, grid4)
@@ -214,6 +225,15 @@ class TestPropagateSamples:
         got = propagate_samples(coeffs, tr, tg, grid)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n, k_max, M", [(1, 4, 48), (2, 1, 10)])
+    def test_second_half_is_signed_first_half(self, n, k_max, M):
+        # on an even grid t_{a + n_t/2} = t_a + pi, where e^{-i t L} u changes by (-1)^n
+        tr = enumerate_pairs(n, k_max)
+        grid = make_grid(n, default_half_width(n, k_max), M)
+        tg = make_time_grid(6)
+        vals = propagate_samples(random_coeffs(tr, seed=14), tr, tg, grid)
+        assert np.array_equal(vals[3:], (-1) ** n * vals[:3])
 
     @settings(max_examples=25, deadline=None)
     @given(s=st.floats(-2 * math.pi, 2 * math.pi), seed=st.integers(0, 2**16))

@@ -49,6 +49,19 @@ def n2_setup():
     return tr, tg, grid
 
 
+@pytest.fixture(scope="module")
+def small_odd_setup(small_setup):
+    # an odd n_t pairs no node with its half-period shift: the unfolded time sum
+    tr, _, grid = small_setup
+    return tr, make_time_grid(7), grid
+
+
+@pytest.fixture(scope="module")
+def n2_odd_setup(n2_setup):
+    tr, _, grid = n2_setup
+    return tr, make_time_grid(5), grid
+
+
 def dense_frame(tr, tg, grid):
     """The propagation frame A, rows (t, z) and one column per pair, from ``propagate_coeffs``.
 
@@ -70,6 +83,12 @@ def kmax4_setup():
     grid = make_grid(1, default_half_width(1, 4), 48)
     tg = make_time_grid(16)
     return tr, tg, grid
+
+
+@pytest.fixture(scope="module")
+def kmax4_odd_setup(kmax4_setup):
+    tr, _, grid = kmax4_setup
+    return tr, make_time_grid(7), grid
 
 
 def node_loop_gram(W, tr, tg, grid):
@@ -195,7 +214,7 @@ class TestPropagationMatrix:
 
 
 class TestWeightedGram:
-    @pytest.mark.parametrize("setup", ["small_setup", "n2_setup"])
+    @pytest.mark.parametrize("setup", ["small_setup", "n2_setup", "small_odd_setup", "n2_odd_setup"])
     def test_matches_dense_frame(self, setup, request):
         tr, tg, grid = request.getfixturevalue(setup)
         W = gaussian_weight(tg, grid, seed=7)
@@ -204,7 +223,7 @@ class TestWeightedGram:
         got = weighted_gram(W, tr, tg, grid)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
-    @pytest.mark.parametrize("setup", ["kmax4_setup", "n2_setup"])
+    @pytest.mark.parametrize("setup", ["kmax4_setup", "n2_setup", "kmax4_odd_setup", "n2_odd_setup"])
     def test_matches_node_loop(self, setup, request):
         tr, tg, grid = request.getfixturevalue(setup)
         W = gaussian_weight(tg, grid, seed=9)
@@ -212,13 +231,18 @@ class TestWeightedGram:
         got = weighted_gram(W, tr, tg, grid)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
-    @pytest.mark.parametrize("system", ["matched", "random"])
-    def test_density_pairing_identity(self, system):
+    @pytest.mark.parametrize("system, n_t", [
+        pytest.param("matched", 16, id="matched"),
+        pytest.param("random", 16, id="random"),
+        pytest.param("matched", 7, id="matched-odd"),
+        pytest.param("random", 7, id="random-odd"),
+    ])
+    def test_density_pairing_identity(self, system, n_t):
         # int int rho_gamma |W|^2 dt/2pi dz = sum_j n_j (U^H K(W) U)_jj exactly on
         # the quadrature, at criterion 10's discretization: ties the density
         # synthesis to the weighted Gram
         tr = enumerate_pairs(1, 6)
-        tg = make_time_grid(16)
+        tg = make_time_grid(n_t)
         grid = make_grid(1, default_half_width(1, 6), 48)
         W = random_smoothed_weight(tg, grid, seed=0)
         if system == "matched":

@@ -97,16 +97,21 @@ class TestDensity:
         with pytest.raises(ValueError, match="length"):
             density(eigenfunction_system(tr4, 2), [1.0], tr4, tg16, grid4)
 
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_matches_per_node_synthesis(self, n, tr4, grid4, tg16):
+    @pytest.mark.parametrize("n, n_t", [
+        pytest.param(1, 16, id="1"),
+        pytest.param(2, 6, id="2"),
+        pytest.param(1, 7, id="1-odd"),  # an odd grid: every node synthesized
+        pytest.param(2, 5, id="2-odd"),
+    ])
+    def test_matches_per_node_synthesis(self, n, n_t, tr4, grid4):
         # oracle: each u_j propagated in coefficient space and synthesized
         # node by node through inverse_transform
         if n == 1:
-            tr, grid, tg = tr4, grid4, tg16
+            tr, grid = tr4, grid4
         else:
             tr = enumerate_pairs(2, 1)
             grid = make_grid(2, default_half_width(2, 1), 10)
-            tg = make_time_grid(6)
+        tg = make_time_grid(n_t)
         N = 5
         U = sample_orthonormal_system(tr, N, seed=4)
         nj = np.array([1.0, 0.5, 2.0, 0.25, 1.5])
@@ -121,6 +126,14 @@ class TestDensity:
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
+    @pytest.mark.parametrize("n, k_max, M", [(1, 4, 48), (2, 1, 10)])
+    def test_second_half_copies_first_half(self, n, k_max, M):
+        # the density is pi-periodic in t and t_{a + n_t/2} = t_a + pi
+        tr = enumerate_pairs(n, k_max)
+        grid = make_grid(n, default_half_width(n, k_max), M)
+        tg = make_time_grid(6)
+        d = density(sample_orthonormal_system(tr, 3, seed=2), [1.0, 0.5, 0.25], tr, tg, grid)
+        assert np.array_equal(d[3:], d[:3])
 
     @pytest.mark.parametrize("nodes_per_chunk", [0, 3])
     def test_chunked_density_matches_one_chunk(self, nodes_per_chunk, tr4, grid4, tg16, monkeypatch):
