@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 
 import click
@@ -24,8 +25,38 @@ from .singularity import default_config, remainder_profile
 from .strichartz import SweepConfig, sweep
 
 
-def _read_config(path: str) -> dict:
-    out = {}
+def _common_options(kmax: int = 4) -> list[click.Option]:
+    """The flags every subcommand takes, each with its type, range and default (``kmax``: the command's)."""
+    return [
+        click.Option(["--n"], type=int, default=1, help="complex dimension"),
+        click.Option(["--kmax"], type=int, default=kmax, help="degree cap of the truncation"),
+        click.Option(["--grid-m"], type=int, default=48, help="grid points per axis"),
+        click.Option(["--grid-l"], type=float, default=None, help="grid half-width (default: auto)"),
+        click.Option(["--nt"], type=int, default=16, help="time nodes on the circle"),
+        click.Option(["--seed"], type=click.IntRange(min=0), default=0, help="base random seed"),
+        click.Option(["--out"], type=click.Path(dir_okay=False), callback=_check_out, help="write results to this path"),
+        click.Option(["--format", "fmt"], type=click.Choice(["csv", "json"]), default="json", help="output format"),
+        click.Option(["--config"], type=click.Path(), is_eager=True, expose_value=False, callback=_read_config,
+                     help="key=value config file"),
+    ]
+
+
+def _check_out(ctx, param, path):
+    """Reject an ``--out`` whose directory does not exist before any check runs."""
+    if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise click.BadParameter(f"no such directory: {os.path.dirname(path)}")
+    return path
+
+
+def _read_config(ctx, param, path):
+    """Make the ``key = value`` lines of the file the command's defaults.
+
+    ``--config`` is eager, so click then reads the other flags as usual: it
+    type-checks the file's values as it checks flags, and an explicit flag wins.
+    """
+    if path is None:
+        return
+    values = {}
     try:
         with open(path) as fh:
             for lineno, line in enumerate(fh, 1):
@@ -35,56 +66,16 @@ def _read_config(path: str) -> dict:
                 if "=" not in line:
                     raise click.UsageError(f"{path}:{lineno}: expected 'key = value'")
                 key, value = (part.strip() for part in line.split("=", 1))
-                out[key.replace("-", "_")] = value
+                key = {"format": "fmt"}.get(key, key.replace("-", "_"))
+                if key not in _CONFIG_KEYS:
+                    raise click.UsageError(f"unknown config key: {key}")
+                values[key] = value
     except OSError as exc:
         raise click.UsageError(f"cannot read config file: {exc}")
-    return out
+    ctx.default_map = values
 
 
-_COMMON = [
-    click.option("--n", "n", type=int, default=None, help="complex dimension"),
-    click.option("--kmax", type=int, default=None, help="degree cap of the truncation"),
-    click.option("--grid-m", type=int, default=None, help="grid points per axis"),
-    click.option("--grid-l", type=float, default=None, help="grid half-width (default: auto)"),
-    click.option("--nt", type=int, default=None, help="time nodes on the circle"),
-    click.option("--seed", type=int, default=None, help="base random seed"),
-    click.option("--out", type=click.Path(dir_okay=False), default=None, help="write results to this path"),
-    click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default=None, help="output format"),
-    click.option("--config", "config_path", type=click.Path(exists=False), default=None, help="key=value config file"),
-]
-
-
-def common_options(fn):
-    for opt in reversed(_COMMON):
-        fn = opt(fn)
-    return fn
-
-
-_DEFAULTS = {"n": 1, "kmax": 4, "grid_m": 48, "grid_l": None, "nt": 16, "seed": 0, "fmt": "json"}
-_TYPES = {"n": int, "kmax": int, "grid_m": int, "grid_l": float, "nt": int, "seed": int, "fmt": str, "out": str}
-
-
-def resolve(config_path, defaults: dict | None = None, **flags) -> dict:
-    """Merge defaults, command defaults, config file, and explicit flags (strongest last)."""
-    merged = dict(_DEFAULTS, out=None, **(defaults or {}))
-    if config_path:
-        raw = _read_config(config_path)
-        for key, value in raw.items():
-            key = {"format": "fmt"}.get(key, key)
-            if key not in _TYPES:
-                raise click.UsageError(f"unknown config key: {key}")
-            try:
-                merged[key] = _TYPES[key](value)
-            except ValueError:
-                raise click.UsageError(f"bad value for {key}: {value!r}")
-    for key, value in flags.items():
-        if value is not None:
-            merged[key] = value
-    if merged["fmt"] not in ("csv", "json"):
-        raise click.UsageError(f"bad format: {merged['fmt']}")
-    if merged["seed"] < 0:
-        raise click.UsageError(f"seed must be >= 0, got {merged['seed']}")
-    return merged
+_CONFIG_KEYS = {opt.name for opt in _common_options() if opt.expose_value}
 
 
 def finish(results: list, p: dict, payload: dict, table: tuple | None = None):
@@ -130,11 +121,9 @@ def main():
     """Numerical toolkit for the twisted-Laplacian spectral inequalities."""
 
 
-@main.command("verify-basis")
-@common_options
-def verify_basis(config_path, out, fmt, **flags):
+@main.command("verify-basis", params=_common_options())
+def verify_basis(**p):
     """Orthonormality and eigenrelation of the truncated eigenbasis."""
-    p = resolve(config_path, out=out, fmt=fmt, **flags)
     tr, grid, _ = _discretization(p)
     try:
         results = [checks.gram_identity(tr, grid), checks.eigenrelation(tr, grid)]
@@ -143,11 +132,9 @@ def verify_basis(config_path, out, fmt, **flags):
     finish(results, p, {"gram_error": results[0].value, "max_eigen_residual": results[1].value})
 
 
-@main.command("verify-kernel")
-@common_options
-def verify_kernel(config_path, out, fmt, **flags):
+@main.command("verify-kernel", params=_common_options())
+def verify_kernel(**p):
     """Closed-form kernel against the diagonal spectral propagator."""
-    p = resolve(config_path, out=out, fmt=fmt, **flags)
     tr, grid, _ = _discretization(p)
     rng = np.random.default_rng(p["seed"])
     c = rng.standard_normal(len(tr)) + 1j * rng.standard_normal(len(tr))
@@ -160,12 +147,10 @@ def verify_kernel(config_path, out, fmt, **flags):
     finish(results, p, {"kernel_vs_spectral": results[0].value, "kernel_bound": results[1].value})
 
 
-@main.command("schatten-bound")
+@main.command("schatten-bound", params=_common_options())
 @click.option("--trials", type=click.IntRange(min=1), default=20, help="number of random weights")
-@common_options
-def schatten_bound(config_path, out, fmt, trials, **flags):
+def schatten_bound(trials, **p):
     """Schatten-4 bound for sandwiched projections over random weights."""
-    p = resolve(config_path, out=out, fmt=fmt, **flags)
     tr, grid, tg = _discretization(p)
     arr = checks.schatten_ratios(tr, tg, grid, range(p["seed"], p["seed"] + trials))
     results = [
@@ -177,11 +162,9 @@ def schatten_bound(config_path, out, fmt, trials, **flags):
     finish(results, p, payload, (header, rows))
 
 
-@main.command("singularity")
-@common_options
-def singularity_cmd(config_path, out, fmt, **flags):
+@main.command("singularity", params=_common_options())
+def singularity_cmd(**p):
     """Abel-regularized singularity expansion and kernel blow-up rates."""
-    p = resolve(config_path, out=out, fmt=fmt, **flags)
     _discretization(p)  # unused here, but invalid common flags are rejected as everywhere
     ts = tuple(np.linspace(0.2, math.pi - 0.2, 9))
     cfg = default_config(-0.5, 1e-4, t_samples=ts)
@@ -198,12 +181,10 @@ def singularity_cmd(config_path, out, fmt, **flags):
     finish(results, p, payload, (header, rows))
 
 
-@main.command("strichartz-sweep")
+@main.command("strichartz-sweep", params=_common_options())
 @click.option("--trials", type=click.IntRange(min=1), default=20, help="random systems per size")
-@common_options
-def strichartz_sweep(config_path, out, fmt, trials, **flags):
+def strichartz_sweep(trials, **p):
     """Mixed-norm quotient sweep over exponents, sizes, and random systems."""
-    p = resolve(config_path, out=out, fmt=fmt, **flags)
     tr, grid, tg = _discretization(p)
     sizes = tuple(N for N in (1, 2, 4, 8, 16) if N <= len(tr))
     try:
@@ -224,12 +205,10 @@ def strichartz_sweep(config_path, out, fmt, trials, **flags):
     finish(results, p, payload, (["n", "p", "q", "N", "trial", "ratio", "lhs", "rhs"], report.rows))
 
 
-@main.command("duality-check")
+@main.command("duality-check", params=_common_options(kmax=6))
 @click.option("--trials", type=click.IntRange(min=1), default=20, help="number of paired samples")
-@common_options
-def duality_cmd(config_path, out, fmt, trials, **flags):
+def duality_cmd(trials, **p):
     """Both sides of the sandwich/density duality on paired samples."""
-    p = resolve(config_path, defaults={"kmax": 6}, out=out, fmt=fmt, **flags)
     tr, grid, tg = _discretization(p)
     weights = [random_smoothed_weight(tg, grid, p["seed"] + k) for k in range(trials)]
     rep = duality_check(tr, tg, grid, weights, alpha=4.0, density_exponents=(2.0, 2.0))

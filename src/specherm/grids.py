@@ -160,10 +160,6 @@ class TimeGrid:
     def weight(self) -> float:
         return 2.0 * math.pi / self.n_t
 
-    @cached_property
-    def weights(self) -> np.ndarray:
-        return _read_only(np.full(self.n_t, self.weight))
-
 
 def make_time_grid(n_t: int) -> TimeGrid:
     return TimeGrid(n_t=int(n_t))
@@ -196,7 +192,7 @@ def mixed_norm(
         spatial = a @ w
     else:
         spatial = (a**q @ w) ** (1.0 / q)
-    tw = tg.weights if measure == "dt" else tg.weights / (2.0 * math.pi)
+    tw = tg.weight if measure == "dt" else tg.weight / (2.0 * math.pi)
     if math.isinf(p):
         return float(spatial.max())
     if p == 1:

@@ -68,11 +68,23 @@ def multi_indices(n: int, k_max: int) -> list[MultiIndex]:
 
 @dataclass(frozen=True)
 class Truncation:
-    """Finite index set of modes with |mu|, |nu| <= k_max, in deterministic order."""
+    """Every mode with |mu|, |nu| <= k_max, in deterministic order.
+
+    Equality and hashing see only (n, k_max), from which the index set follows.
+    The order is graded-lexicographic in mu, then in nu, so the layout of
+    coefficient vectors and Gram matrices is reproducible across runs.
+    """
 
     n: int
     k_max: int
-    index_set: tuple[MultiIndexPair, ...]
+
+    def __post_init__(self):
+        self.index_set  # an invalid (n, k_max) raises here, at construction
+
+    @cached_property
+    def index_set(self) -> tuple[MultiIndexPair, ...]:
+        singles = multi_indices(self.n, self.k_max)
+        return tuple(MultiIndexPair(mu, nu) for mu in singles for nu in singles)
 
     def __len__(self) -> int:
         return len(self.index_set)
@@ -92,11 +104,5 @@ class Truncation:
 
 
 def enumerate_pairs(n: int, k_max: int) -> Truncation:
-    """Truncation holding every pair (mu, nu) with |mu|, |nu| <= k_max.
-
-    Ordering is graded-lexicographic in mu, then in nu, so the layout of
-    coefficient vectors and Gram matrices is reproducible across runs.
-    """
-    singles = multi_indices(n, k_max)
-    pairs = tuple(MultiIndexPair(mu, nu) for mu in singles for nu in singles)
-    return Truncation(n=n, k_max=k_max, index_set=pairs)
+    """Truncation holding every pair (mu, nu) with |mu|, |nu| <= k_max."""
+    return Truncation(n, k_max)

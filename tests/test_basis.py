@@ -131,6 +131,14 @@ class TestIndices:
         b = enumerate_pairs(1, 3)
         assert a.index_set == b.index_set
 
+    def test_truncation_is_its_n_and_kmax(self):
+        tr = enumerate_pairs(2, 1)
+        assert tr == Truncation(2, 1) and hash(tr) == hash(Truncation(2, 1))
+        assert tr != enumerate_pairs(2, 2)
+        for n, k_max in ((0, 1), (1, -1)):
+            with pytest.raises(ValueError):
+                Truncation(n, k_max)
+
     def test_no_duplicates(self):
         tr = enumerate_pairs(2, 2)
         assert len(set(tr.index_set)) == len(tr)

@@ -41,7 +41,9 @@ INVALID_COMMON = (
     ("--grid-m", "9"),
     ("--n", "0"),
     ("--kmax", "-1"),
+    ("--out", os.path.join("no-such-directory", "out.json")),  # rejected before any check runs
 )
+COMMON_FLAGS = ("--n", "--kmax", "--grid-m", "--grid-l", "--nt", "--seed", "--out", "--format", "--config")
 
 
 class TestUsage:
@@ -51,6 +53,13 @@ class TestUsage:
         for name in ("verify-basis", "verify-kernel", "schatten-bound",
                      "singularity", "strichartz-sweep", "duality-check"):
             assert name in result.output
+
+    @pytest.mark.parametrize("command", sorted(main.commands))
+    def test_subcommand_help_lists_common_flags(self, runner, command):
+        result = runner.invoke(main, [command, "--help"])
+        assert result.exit_code == 0, result.output
+        for flag in COMMON_FLAGS:
+            assert flag in result.output
 
     def test_bad_flag_is_usage_error(self, runner):
         result = runner.invoke(main, ["verify-kernel", "--kmax", "not-a-number"])
@@ -112,7 +121,28 @@ class TestConfigFile:
         result = runner.invoke(main, [command, "--config", str(cfg)])
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
-        assert "seed must be >= 0" in result.output
+        assert "Invalid value for '--seed'" in result.output
+
+    @pytest.mark.parametrize("text", ["format = xml\n", "trials = 3\n", "out = no-such-directory/out.json\n"])
+    def test_bad_key_or_value_is_usage_error(self, runner, tmp_path, text):
+        # --trials is not a common flag, so the file cannot set it
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        result = runner.invoke(main, ["singularity", "--config", str(cfg)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+
+    def test_config_format_and_out_match_flags(self, runner, tmp_path):
+        # the file's "format" key sets --format, whose value is named fmt
+        by_flag, by_file = tmp_path / "flag.csv", tmp_path / "file.csv"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"format = csv\nout = {by_file}\n")
+        for extra in (["--format", "csv", "--out", str(by_flag)], ["--config", str(cfg)]):
+            result = runner.invoke(main, ["singularity", *extra])
+            assert result.exit_code == 0, result.output
+        assert by_file.read_text().startswith("z_re,z_im,t,")
+        assert by_file.read_text() == by_flag.read_text()
 
     def test_flag_overrides_config(self, runner, tmp_path):
         cfg = tmp_path / "run.cfg"

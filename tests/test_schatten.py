@@ -8,7 +8,7 @@ from scipy import integrate, linalg
 from scipy.special import gamma
 
 from specherm.grids import default_half_width, make_grid, make_time_grid, mixed_norm
-from specherm.indices import MultiIndex, MultiIndexPair, Truncation, enumerate_pairs
+from specherm.indices import MultiIndex, MultiIndexPair, enumerate_pairs
 from specherm.propagator import propagate_coeffs, propagate_samples
 from specherm.schatten import (
     _SV_CLAMP,
@@ -188,7 +188,7 @@ class TestPropagationMatrix:
 
     def test_single_pair_unit_column(self, small_setup):
         _, tg, grid = small_setup
-        tr1 = Truncation(1, 0, (pair(0, 0),))
+        tr1 = enumerate_pairs(1, 0)
         K = weighted_gram(np.ones((tg.n_t,) + grid.shape), tr1, tg, grid)
         assert K.shape == (1, 1)
         assert math.sqrt(K[0, 0].real) == pytest.approx(1.0, abs=1e-6)
