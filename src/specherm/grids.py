@@ -131,7 +131,7 @@ def inner_product(f: Field, g: Field) -> complex:
 
 def lp_norm(f: Field, p: float) -> float:
     """L^p norm over the spatial grid; p = inf gives the max modulus over nodes."""
-    if p < 1:
+    if not p >= 1:  # NaN fails the comparison
         raise ValueError("exponent must be in [1, inf]")
     a = np.abs(f.values)
     if math.isinf(p):
@@ -178,7 +178,7 @@ def mixed_norm(
     values = np.ascontiguousarray(values)  # one memory layout, one summation order: bit-stable norms
     if values.shape != (tg.n_t,) + grid.shape:
         raise ValueError(f"shape {values.shape} inconsistent with time/space grids")
-    if p < 1 or q < 1:
+    if not p >= 1 or not q >= 1:  # NaN fails the comparison
         raise ValueError("exponents must be in [1, inf]")
     if measure not in ("dt", "dt/2pi"):
         raise ValueError(f"unknown time measure {measure!r}")

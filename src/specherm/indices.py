@@ -102,6 +102,16 @@ class Truncation:
         lam.setflags(write=False)
         return lam
 
+    @cached_property
+    def level_blocks(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """The distinct eigenvalues in ascending order and the positions of the pairs at each: read-only, shared."""
+        lam = self._eigenvalues
+        levels = np.unique(lam)
+        blocks = tuple(np.flatnonzero(lam == level) for level in levels)
+        for a in (levels, *blocks):
+            a.setflags(write=False)
+        return levels, blocks
+
 
 def enumerate_pairs(n: int, k_max: int) -> Truncation:
     """Truncation holding every pair (mu, nu) with |mu|, |nu| <= k_max."""

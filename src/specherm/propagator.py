@@ -109,11 +109,9 @@ def level_parts(coeffs, tr: Truncation, grid: GridSpec) -> tuple[np.ndarray, np.
     """
     c = np.asarray(coeffs, dtype=complex).reshape(len(tr), -1)
     basis = cached_basis(tr, grid).reshape(len(tr), -1)
-    lam = tr.eigenvalues()
-    levels = np.unique(lam)
+    levels, blocks = tr.level_blocks
     parts = np.empty((len(levels), basis.shape[1], c.shape[1]), dtype=complex)
-    for part, level in zip(parts, levels):
-        block = lam == level
+    for part, block in zip(parts, blocks):
         np.matmul(basis[block].T, c[block], out=part)
     return levels, parts.reshape(len(levels), -1)
 

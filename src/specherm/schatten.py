@@ -22,7 +22,7 @@ from .grids import GridSpec, TimeGrid, make_grid, mixed_norm
 from .indices import MultiIndex, Truncation
 from .propagator import ComplexTime, _half_period_nodes, mehler_kernel_field, propagate_samples
 from .singularity import gamma
-from .strichartz import density
+from .strichartz import density, density_norm
 from .twisted import cached_basis, twisted_convolve_batch
 
 # relative floor under which singular values are treated as exact zeros:
@@ -42,7 +42,7 @@ class SchattenReport:
 
 def schatten_from_singular_values(s: np.ndarray, r: float) -> SchattenReport:
     """Schatten r-norm from singular values: r = 1 trace, r = 2 Hilbert-Schmidt, r = inf operator norm."""
-    if r < 1:
+    if not r >= 1:  # NaN fails the comparison
         raise ValueError("Schatten exponent must be in [1, inf]")
     s = np.sort(np.abs(np.asarray(s, dtype=float)))[::-1]
     if s.size and s[0] > 0:
@@ -116,7 +116,7 @@ def _t_z_factors(z, tr, tg, grid):
     if tg.n_t <= 2 * cut:
         raise ValueError(f"need more than {2 * cut} time nodes for frequency range +-{cut}")
     if complex(z) == -1.0 + 0.0j:
-        lams = np.unique(tr.eigenvalues())
+        lams = tr.level_blocks[0]
         weights = (tr.eigenvalues()[:, None] == lams).astype(float)
     else:
         z = _pointwise_z(z)
@@ -170,15 +170,14 @@ def weighted_gram(w_samples: np.ndarray, tr: Truncation, tg: TimeGrid, grid: Gri
         raise ValueError("weight samples inconsistent with the time and space grids")
     basis = cached_basis(tr, grid).reshape(len(tr), -1)
     lam = tr.eigenvalues()
-    levels = np.unique(lam)
+    levels, blocks = tr.level_blocks
     diffs, index = np.unique(levels[:, None] - lam, return_inverse=True)
     index = index.reshape(len(levels), len(lam))
     half = _half_period_nodes(tg.n_t)
     w2 = (np.abs(w.reshape(-1, half, grid.size)) ** 2).sum(axis=0) * (grid.weight_tensor.ravel() / tg.n_t)
     c = np.exp(1j * np.outer(diffs, tg.nodes[:half])) @ w2  # (n_diffs, n_space)
     K = np.empty((len(tr), len(tr)), dtype=complex)
-    for level, row in zip(levels, index):
-        block = lam == level
+    for block, row in zip(blocks, index):
         K[block] = basis[block].conj() @ (basis * c[row]).T
     return K
 
@@ -233,7 +232,7 @@ def duality_check(
     degenerates (zero weight norm, empty system) is skipped and counted, so a
     zero weight counts twice; a side left with no ratio at all raises ``ValueError``.
     """
-    if alpha < 1:
+    if not alpha >= 1:  # NaN fails the comparison
         raise ValueError("alpha must be >= 1")
     alpha_dual = math.inf if alpha == 1 else alpha / (alpha - 1)
     weight_exponents = [math.inf if e == 1 else 2 * e / (e - 1) for e in density_exponents]
@@ -251,8 +250,7 @@ def duality_check(
         if not np.any(nj):
             skipped += 1
             continue
-        dens = density(coeffs, nj, tr, tg, grid)
-        dn = mixed_norm(dens, tg, grid, *density_exponents, measure="dt/2pi")
+        dn = density_norm(density(coeffs, nj, tr, tg, grid), tg, grid, *density_exponents, measure="dt/2pi")
         density_ratios.append(dn / float(np.linalg.norm(nj, ord=alpha_dual)))
     if not sandwich_ratios or not density_ratios:
         raise ValueError(

@@ -156,6 +156,20 @@ class TestIndices:
         with pytest.raises(ValueError):
             lam[0] = 0
 
+    @pytest.mark.parametrize("n, k_max", [(1, 4), (2, 2)])
+    def test_level_blocks_partition_by_eigenvalue(self, n, k_max):
+        tr = enumerate_pairs(n, k_max)
+        levels, blocks = tr.level_blocks
+        assert tr.level_blocks is tr.level_blocks
+        assert np.all(np.diff(levels) > 0)
+        assert len(blocks) == len(levels)
+        assert sorted(np.concatenate(blocks).tolist()) == list(range(len(tr)))
+        for level, block in zip(levels, blocks):
+            assert block.size and np.all(tr.eigenvalues()[block] == level)
+        for a in (levels, *blocks):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+
     def test_negative_entries_rejected(self):
         with pytest.raises(ValueError):
             MultiIndex((-1,))

@@ -107,6 +107,11 @@ class TestLpNorm:
             assert cur >= prev - 1e-12
             prev = cur
 
+    @pytest.mark.parametrize("p", [0.5, math.nan])
+    def test_exponent_below_one_rejected(self, grid4, p):
+        with pytest.raises(ValueError, match="exponent"):
+            lp_norm(_phi00(grid4), p)
+
     def test_vanishes_only_on_zero(self, grid4):
         assert lp_norm(zero_field(grid4), 2) == 0.0
         assert lp_norm(_phi00(grid4), 1) > 0.0
@@ -192,6 +197,12 @@ class TestMixedNorm:
         assert not G.flags.c_contiguous
         for p, q in ((4.0, 4.0), (2.0, 2.0), (math.inf, 1.0), (1.0, math.inf)):
             assert mixed_norm(G, tg, grid4, p, q, measure="dt/2pi") == mixed_norm(F, tg, grid4, p, q, measure="dt/2pi")
+
+    @pytest.mark.parametrize("p, q", [(0.5, 2.0), (2.0, 0.5), (math.nan, 2.0), (2.0, math.nan)])
+    def test_exponent_below_one_rejected(self, grid4, p, q):
+        tg = make_time_grid(6)
+        with pytest.raises(ValueError, match="exponents"):
+            mixed_norm(np.ones((6,) + grid4.shape), tg, grid4, p, q)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_sample_rejected(self, grid4, bad):

@@ -162,7 +162,7 @@ class TestSchattenNorm:
         assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
 
     def test_invalid_inputs(self):
-        for r in (0.5, 0.0):
+        for r in (0.5, 0.0, math.nan):
             with pytest.raises(ValueError):
                 schatten_from_singular_values(np.ones(2), r)
 
@@ -523,6 +523,12 @@ class TestDuality:
         assert np.abs(coeffs.conj().T @ coeffs - np.eye(len(nj))).max() < 1e-12
         assert np.abs(K @ coeffs - coeffs * evals).max() < 1e-12 * evals.max()
         assert np.all(np.diff(evals) <= 0)
+
+    @pytest.mark.parametrize("alpha", [0.5, math.nan])
+    def test_alpha_below_one_rejected(self, small_setup, alpha):
+        tr, tg, grid = small_setup
+        with pytest.raises(ValueError, match="alpha"):
+            duality_check(tr, tg, grid, [], alpha=alpha, density_exponents=(2.0, 2.0))
 
     def test_degenerate_samples_skipped(self, small_setup):
         tr, tg, grid = small_setup

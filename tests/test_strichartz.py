@@ -12,6 +12,7 @@ from specherm.strichartz import (
     SweepConfig,
     admissible_exponents,
     density,
+    density_norm,
     eigenfunction_system,
     fit_growth_exponent,
     sample_orthonormal_system,
@@ -93,6 +94,11 @@ class TestDensity:
         assert np.isrealobj(d)
         assert d.min() >= 0.0
 
+    def test_empty_system_is_zero(self, tr4, grid4, tg16):
+        d = density(eigenfunction_system(tr4, 0), np.ones(0), tr4, tg16, grid4)
+        assert d.shape == (tg16.n_t,) + grid4.shape
+        assert not np.any(d)
+
     def test_shape_mismatch(self, tr4, grid4, tg16):
         with pytest.raises(ValueError, match="length"):
             density(eigenfunction_system(tr4, 2), [1.0], tr4, tg16, grid4)
@@ -164,6 +170,33 @@ class TestDensity:
         finally:
             tracemalloc.stop()
         assert peak < block_bytes, f"peak {peak / 2**20:.1f} MiB, one block {block_bytes / 2**20:.1f} MiB"
+
+
+class TestDensityNorm:
+    @pytest.mark.parametrize("measure", ["dt", "dt/2pi"])
+    @pytest.mark.parametrize("n, k_max, M, n_t", [(1, 4, 48, 16), (2, 1, 10, 8)])
+    def test_half_period_equals_all_nodes(self, n, k_max, M, n_t, measure):
+        # the sweep's four (p, q) pairs and (2, 2)
+        tr = enumerate_pairs(n, k_max)
+        grid = make_grid(n, default_half_width(n, k_max), M)
+        tg = make_time_grid(n_t)
+        d = density(sample_orthonormal_system(tr, 5, seed=8), [1.0, 0.5, 2.0, 0.25, 1.5], tr, tg, grid)
+        for q in (1.0 + j / (4 * n) for j in (0, 1, 2, 4)):
+            p = admissible_exponents(n, q)
+            for p, q in ((p, q), (2.0, 2.0)):
+                want = mixed_norm(d, tg, grid, p, q, measure)
+                assert density_norm(d, tg, grid, p, q, measure) == pytest.approx(want, rel=1e-14)
+
+    def test_odd_grid_norms_every_node(self, tr4, grid4):
+        tg = make_time_grid(7)
+        d = density(sample_orthonormal_system(tr4, 3, seed=1), [1.0, 0.5, 0.25], tr4, tg, grid4)
+        for p, q in ((math.inf, 1.0), (2.0, 2.0), (3.0, 1.5)):
+            assert density_norm(d, tg, grid4, p, q) == mixed_norm(d, tg, grid4, p, q)
+
+    def test_node_count_must_match_time_grid(self, tr4, grid4, tg16):
+        d = density(eigenfunction_system(tr4, 1), [1.0], tr4, make_time_grid(18), grid4)
+        with pytest.raises(ValueError, match="time nodes"):
+            density_norm(d, tg16, grid4, 2.0, 2.0)
 
 
 def ratio(U, nj, tr, p, q, tg, grid):
