@@ -176,16 +176,14 @@ class TestDensityNorm:
     @pytest.mark.parametrize("measure", ["dt", "dt/2pi"])
     @pytest.mark.parametrize("n, k_max, M, n_t", [(1, 4, 48, 16), (2, 1, 10, 8)])
     def test_half_period_equals_all_nodes(self, n, k_max, M, n_t, measure):
-        # the sweep's four (p, q) pairs and (2, 2)
         tr = enumerate_pairs(n, k_max)
         grid = make_grid(n, default_half_width(n, k_max), M)
         tg = make_time_grid(n_t)
         d = density(sample_orthonormal_system(tr, 5, seed=8), [1.0, 0.5, 2.0, 0.25, 1.5], tr, tg, grid)
-        for q in (1.0 + j / (4 * n) for j in (0, 1, 2, 4)):
-            p = admissible_exponents(n, q)
-            for p, q in ((p, q), (2.0, 2.0)):
-                want = mixed_norm(d, tg, grid, p, q, measure)
-                assert density_norm(d, tg, grid, p, q, measure) == pytest.approx(want, rel=1e-14)
+        sweep_pairs = [(admissible_exponents(n, q), q) for q in (1.0 + j / (4 * n) for j in (0, 1, 2, 4))]
+        for p, q in sweep_pairs + [(2.0, 2.0)]:
+            want = mixed_norm(d, tg, grid, p, q, measure)
+            assert density_norm(d, tg, grid, p, q, measure) == pytest.approx(want, rel=1e-14)
 
     def test_odd_grid_norms_every_node(self, tr4, grid4):
         tg = make_time_grid(7)
