@@ -13,7 +13,7 @@ import numpy as np
 from .grids import Field, GridSpec, TimeGrid, lp_norm, mixed_norm
 from .indices import Truncation
 from .propagator import ComplexTime, evolve_kernel, evolve_spectral, mehler_kernel, propagate_coeffs
-from .schatten import DualityReport, random_smoothed_weight, sandwich_schatten
+from .schatten import DualityReport, random_smoothed_weights, sandwich_schatten
 from .singularity import RemainderProfile, h_kernel_rate
 from .strichartz import density, density_norm, eigenfunction_system
 from .twisted import apply_twisted_laplacian, cached_basis, inverse_transform
@@ -96,8 +96,7 @@ def kernel_rate_law(n: int) -> Check:
 def schatten_ratios(tr: Truncation, tg: TimeGrid, grid: GridSpec, seeds) -> np.ndarray:
     """Schatten-4 norm of the sandwich over ||W||^2 in L^4_t L^4_z, one per random weight."""
     ratios = []
-    for seed in seeds:
-        W = random_smoothed_weight(tg, grid, seed)
+    for W in random_smoothed_weights(tg, grid, seeds):
         num = sandwich_schatten(W, tr, tg, grid, 4.0).norm
         ratios.append(num / mixed_norm(W, tg, grid, 4.0, 4.0, measure="dt/2pi") ** 2)
     return np.array(ratios)

@@ -20,7 +20,7 @@ from . import __version__, checks
 from .grids import default_half_width, make_grid, make_time_grid
 from .indices import enumerate_pairs
 from .propagator import ComplexTime
-from .schatten import duality_check, random_smoothed_weight
+from .schatten import duality_check, random_smoothed_weights
 from .singularity import default_config, remainder_profile
 from .strichartz import SweepConfig, sweep
 
@@ -210,7 +210,7 @@ def strichartz_sweep(trials, **p):
 def duality_cmd(trials, **p):
     """Both sides of the sandwich/density duality on paired samples."""
     tr, grid, tg = _discretization(p)
-    weights = [random_smoothed_weight(tg, grid, p["seed"] + k) for k in range(trials)]
+    weights = random_smoothed_weights(tg, grid, range(p["seed"], p["seed"] + trials))
     rep = duality_check(tr, tg, grid, weights, alpha=4.0, density_exponents=(2.0, 2.0))
     results = [checks.constants_finite(rep), checks.constants_comparable(rep)]
     payload = {"alpha": rep.alpha, "max_sandwich_ratio": rep.max_sandwich, "max_density_ratio": rep.max_density,

@@ -14,6 +14,7 @@ family T_z off the basis Gram, one frequency block at a time.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,7 @@ from .indices import MultiIndex, Truncation
 from .propagator import ComplexTime, _half_period_nodes, mehler_kernel_field, propagate_samples
 from .singularity import gamma
 from .strichartz import density, density_norm
-from .twisted import cached_basis, twisted_convolve_batch
+from .twisted import TwistedConvolver, cached_basis
 
 # relative floor under which singular values are treated as exact zeros:
 # rank-deficient sandwiches otherwise pollute trace-class sums with noise
@@ -215,16 +216,16 @@ def duality_check(
     tr: Truncation,
     tg: TimeGrid,
     grid: GridSpec,
-    weights: list[np.ndarray],
+    weights: Iterable[np.ndarray],
     alpha: float,
     density_exponents: tuple[float, float],
 ) -> DualityReport:
     """Evaluate both duality-principle inequalities, one sample per weight.
 
-    ``weights`` holds sampled multiplication weights on the time-space grid.
-    One eigendecomposition of K(W) gives both sides: the Schatten-alpha norm
-    of the sandwich, compared with the squared mixed norm of W, and the
-    matched system of ``matched_system``, whose density sum
+    ``weights`` yields sampled multiplication weights on the time-space grid,
+    each read once, in turn.  One eigendecomposition of K(W) gives both
+    sides: the Schatten-alpha norm of the sandwich, compared with the squared
+    mixed norm of W, and the matched system of ``matched_system``, whose density sum
     n_j |e^{-i t L} u_j|^2 has its mixed norm compared with the dual-exponent
     coefficient norm.  By the duality principle (Frank-Sabin 2017) a density
     in L^p_t L^q_z pairs with a weight in L^{2p'}_t L^{2q'}_z (1' = inf), so
@@ -264,19 +265,26 @@ def duality_check(
     )
 
 
-def random_smoothed_weight(tg: TimeGrid, grid: GridSpec, seed: int) -> np.ndarray:
-    """Generic integrable weight: complex white noise mollified by e^{-0.2 L}.
+def random_smoothed_weights(tg: TimeGrid, grid: GridSpec, seeds: Iterable[int]) -> Iterator[np.ndarray]:
+    """Generic integrable weights, one per seed: complex white noise mollified by e^{-0.2 L}.
 
-    Each time slice of a complex Gaussian sample field is smoothed by one
-    application of the semigroup (via its closed-form kernel), then the
-    whole field is normalized to unit L^4 norm on the product measure.
+    Each time slice of a complex Gaussian sample field (from
+    ``default_rng(seed)``, the real parts drawn before the imaginary parts) is
+    smoothed by one application of the semigroup (via its closed-form
+    kernel), then the whole field is normalized to unit L^4 norm on the
+    product measure.  One convolver serves every seed, so the kernel's
+    spectrum is built once and released with the generator.
     """
-    rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((tg.n_t,) + grid.shape) + 1j * rng.standard_normal((tg.n_t,) + grid.shape)
     kernel = mehler_kernel_field(ComplexTime(0.2, 0.0), make_grid(1, grid.L, grid.M))
-    smooth = twisted_convolve_batch(raw, (kernel,) * grid.n)
-    norm = mixed_norm(smooth, tg, grid, 4.0, 4.0, measure="dt/2pi")
-    return smooth / norm
+    smoothing = TwistedConvolver((kernel,) * grid.n)
+    raw = np.empty((tg.n_t,) + grid.shape, dtype=complex)
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        raw.real = rng.standard_normal(raw.shape)
+        raw.imag = rng.standard_normal(raw.shape)
+        smooth = smoothing.apply(raw)
+        smooth /= mixed_norm(smooth, tg, grid, 4.0, 4.0, measure="dt/2pi")
+        yield smooth
 
 
 def matched_system(tr: Truncation, tg: TimeGrid, grid: GridSpec, w_samples: np.ndarray, alpha: float):

@@ -6,9 +6,12 @@ phase exp((i/2) Im(z . conj(w))), so an n >= 2 convolution is n passes of
 that kernel, one per coordinate, the others in the batch.  Grid differences
 z_i - w_j fall on a lattice offset by half a spacing from the sample
 lattice (the axes have an even point count), so the first factor is
-resampled once onto that difference lattice with an FFT phase shift; the
-fields handled here decay like exp(-|z|^2/4), which makes both the
-periodization and the zero-extension outside the domain negligible.
+resampled once onto that difference lattice with an FFT phase shift (as a
+matrix, applied to both axes of the whole batch); the fields handled here
+decay like exp(-|z|^2/4), which makes both the periodization and the
+zero-extension outside the domain negligible.  The g side of the kernel
+depends on g alone, so a ``TwistedConvolver`` builds it once per factor and
+reuses it for every batch it convolves.
 """
 from __future__ import annotations
 
@@ -54,30 +57,43 @@ def _difference_samples(values: np.ndarray, grid: GridSpec) -> np.ndarray:
 
     Both axes are zero-padded to 2M, shifted half an index by a Fourier phase
     and cut to {k h : |k| <= M-1} (index k + M - 1), whose x and y coordinates are u and v.
+    That map is the (2M-1) x M matrix S, built by applying it to the identity,
+    so the batch is resampled as S f S^T in two matrix products.  The result
+    is a view of a [v, b, u] array, the layout the kernel transforms in.
     """
-    M = grid.M
+    M, B = grid.M, len(values)
     # offset M/2 into the padding (exactly (-i)^k, M being even), then half an index
     shift = np.array([1, -1j, -1, 1j])[np.arange(2 * M) % 4] * np.exp(1j * np.pi * np.fft.fftfreq(2 * M))
+    S = np.fft.ifft(np.fft.fft(np.eye(M), n=2 * M, axis=0) * shift[:, None], axis=0)[: 2 * M - 1]
     lattice = np.arange(1 - M, M) * grid.spacing
-    out = np.fft.ifft(np.fft.fft(values, n=2 * M, axis=1) * shift[:, None], axis=1)[:, : 2 * M - 1]
-    out = np.fft.ifft(np.fft.fft(out, n=2 * M, axis=2) * shift, axis=2)[:, :, : 2 * M - 1]
-    return out * np.exp(-0.5j * np.outer(lattice, lattice))
+    rows = values.transpose(2, 0, 1).reshape(M * B, M) @ S.T  # [y, b, u]
+    out = (S @ rows.reshape(M, B * (2 * M - 1))).reshape(2 * M - 1, B, 2 * M - 1)  # [v, b, u]
+    out *= np.exp(-0.5j * np.outer(lattice, lattice))[:, None]  # symmetric in u and v
+    return out.transpose(1, 2, 0)
 
 
-def _convolve_plane(values: np.ndarray, g: Field) -> np.ndarray:
-    """The n = 1 kernel: twisted convolution of each field of ``values`` (B, M, M) with g."""
+def _kernel_spectrum(g: Field) -> np.ndarray:
+    """The g side of the n = 1 kernel, which depends on g alone: [x_z, k, w] with x_w = M-1-w.
+
+    For each output x_z, the y-spectrum (FFT length 2M) of g(x_w, y) times its
+    quadrature weight, exp((i/2) x_w y) and exp(-i x_z y); 2 M^3 complex entries.
+    """
     grid, M = g.grid, g.grid.M
     phase = np.exp(0.5j * np.outer(grid.axis, grid.axis))  # exp((i/2) a b) for axis points a, b
-    ghat = np.fft.fft(g.values * grid.weight_tensor * phase * np.conj(phase[:, None]) ** 2, n=2 * M, axis=-1)
-    ghat = np.ascontiguousarray(ghat[:, ::-1].transpose(0, 2, 1))  # [x_z, k, w], x_w = M-1-w
-    fd = _difference_samples(values, grid)
-    fhat = np.moveaxis(np.fft.fft(fd, n=2 * M, axis=-1), -1, 0).copy()  # [k, b, x diff]
-    sums = np.empty((M, 2 * M, len(fd)), dtype=complex)  # [x_z, k, b]
-    for i in range(M):
-        # f at x_z - x_w for x_w = M-1-w: the M differences from x_z's own index on
-        sums[i] = (fhat[:, :, i : i + M] @ ghat[i, :, :, None])[..., 0]
+    weighted = np.ascontiguousarray((g.values * grid.weight_tensor * phase)[::-1].T)  # [y_w, w]
+    return np.fft.fft(np.conj(phase)[:, :, None] ** 2 * weighted, n=2 * M, axis=1)
+
+
+def _convolve_plane(values: np.ndarray, ghat: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """The n = 1 kernel: twisted convolution of each field of ``values`` (B, M, M) with the g of ``ghat``."""
+    M = grid.M
+    fhat = np.fft.fft(_difference_samples(values, grid).transpose(2, 0, 1), n=2 * M, axis=0)  # [k, b, x diff]
+    # f at x_z - x_w for x_w = M-1-w: window i holds the M differences from x_z's own index on
+    windows = np.lib.stride_tricks.sliding_window_view(fhat, M, axis=2).transpose(2, 0, 1, 3)  # [x_z, k, b, w]
+    sums = (windows @ ghat[..., None])[..., 0]  # [x_z, k, b]
+    del fhat, windows  # the call's largest array, freed before the inverse transform allocates
     out = np.fft.ifft(sums.transpose(2, 0, 1), axis=-1)
-    return out[..., M - 1 : 2 * M - 1] * phase  # the output window of the y axis
+    return out[..., M - 1 : 2 * M - 1] * np.exp(0.5j * np.outer(grid.axis, grid.axis))  # the y output window
 
 
 # complex entries of the batch given to one kernel call: each one-coordinate
@@ -85,50 +101,71 @@ def _convolve_plane(values: np.ndarray, g: Field) -> np.ndarray:
 _CHUNK_ENTRIES = 2**18
 
 
-def twisted_convolve_batch(values: np.ndarray, g) -> np.ndarray:
-    """Twisted convolution of each field in ``values`` (shape (B, *grid.shape)) with g.
+class TwistedConvolver:
+    """Twisted convolution with one g, applied to any number of batches of fields.
 
     g = g_1(z_1) ... g_n(z_n) is given by the tuple of its factors on the
     one-coordinate grid ``make_grid(1, L, M)``; at n = 1 a lone Field also
-    does.  The phase and the quadrature split over the coordinates, so pass j
-    convolves every (x_j, y_j) plane of the batch with g_j, at most
-    ``_CHUNK_ENTRIES`` entries per kernel call.
-
-    In a plane, with u = x_z - x_w and v = y_z - y_w the phase splits as
-    y_z x_w - x_z y_w = x_z y_z - u v - y_w (2 x_z - x_w): a factor of the
-    output point, one of the difference (taken into f) and one of the output
-    x and the point w (taken into g).  For a fixed output x the sum over w is
-    a sum over x_w of y-convolutions: in y-frequency space (FFTs of length
-    2M, which keep wrap-around off the output window) one matrix product per
-    frequency, then one inverse FFT.  A plane costs O(M^3), a call O(n B M^{2n+1}).
+    does.  The kernel spectrum of each distinct factor (``_kernel_spectrum``;
+    the same object passed twice is one factor) is built here, once, and
+    held as long as the convolver is.
     """
-    factors = (g,) if isinstance(g, Field) else tuple(g)
-    grid = factors[0].grid
-    if grid.n != 1:
-        raise ValueError("an n >= 2 g is given by its n factors on the one-coordinate grid")
-    M, n = grid.M, len(factors)
-    if any(h.grid != grid for h in factors) or np.shape(values)[1:] != (M,) * (2 * n):
-        raise ValueError("fields live on different grids")
-    out, step = np.asarray(values), max(1, _CHUNK_ENTRIES // (M * M))
-    for j, factor in enumerate(factors):
-        planes = np.moveaxis(out, (1 + 2 * j, 2 + 2 * j), (-2, -1))
-        flat = planes.reshape(-1, M, M)
-        done = np.empty(flat.shape, dtype=complex)
-        for start in range(0, len(flat), step):
-            done[start : start + step] = _convolve_plane(flat[start : start + step], factor)
-        out = np.moveaxis(done.reshape(planes.shape), (-2, -1), (1 + 2 * j, 2 + 2 * j))
-    return out
+
+    def __init__(self, g):
+        factors = (g,) if isinstance(g, Field) else tuple(g)
+        self.grid = factors[0].grid
+        if self.grid.n != 1:
+            raise ValueError("an n >= 2 g is given by its n factors on the one-coordinate grid")
+        if any(h.grid != self.grid for h in factors):
+            raise ValueError("fields live on different grids")
+        spectra: dict = {}
+        for h in factors:
+            if id(h) not in spectra:
+                spectra[id(h)] = _kernel_spectrum(h)
+        self._spectra = [spectra[id(h)] for h in factors]
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        """Twisted convolution of each field in ``values`` (shape (B, *grid.shape)) with g.
+
+        The phase and the quadrature split over the coordinates, so pass j
+        convolves every (x_j, y_j) plane of the batch with g_j, at most
+        ``_CHUNK_ENTRIES`` entries per kernel call.
+
+        In a plane, with u = x_z - x_w and v = y_z - y_w the phase splits as
+        y_z x_w - x_z y_w = x_z y_z - u v - y_w (2 x_z - x_w): a factor of the
+        output point, one of the difference (taken into f) and one of the output
+        x and the point w (taken into g).  For a fixed output x the sum over w is
+        a sum over x_w of y-convolutions: in y-frequency space (FFTs of length
+        2M, which keep wrap-around off the output window) one matrix product per
+        frequency, then one inverse FFT.  A plane costs O(M^3), a call O(n B M^{2n+1}).
+        """
+        values = np.asarray(values)
+        M, n = self.grid.M, len(self._spectra)
+        if values.ndim != 1 + 2 * n:
+            raise ValueError(f"g has {n} factor(s), one per complex coordinate, "
+                             f"but the fields have dimension {(values.ndim - 1) / 2:g}")
+        if values.shape[1:] != (M,) * (2 * n):
+            raise ValueError("fields live on different grids")
+        out, step = values, max(1, _CHUNK_ENTRIES // (M * M))
+        for j, ghat in enumerate(self._spectra):
+            planes = np.moveaxis(out, (1 + 2 * j, 2 + 2 * j), (-2, -1))
+            flat = planes.reshape(-1, M, M)
+            done = np.empty(flat.shape, dtype=complex)
+            for start in range(0, len(flat), step):
+                done[start : start + step] = _convolve_plane(flat[start : start + step], ghat, self.grid)
+            out = np.moveaxis(done.reshape(planes.shape), (-2, -1), (1 + 2 * j, 2 + 2 * j))
+        return out
 
 
 def twisted_convolve(f: Field, g) -> Field:
     """Oscillatory convolution f x g with phase exp((i/2) Im(z . conj(w))).
 
-    g is as in ``twisted_convolve_batch``; values of f outside the domain are
+    g is as in ``TwistedConvolver``; values of f outside the domain are
     taken as zero (the fields of interest have Gaussian decay).
     """
     if (g if isinstance(g, Field) else g[0]).grid.L != f.grid.L:
         raise ValueError("fields live on different grids")
-    return Field(f.grid, twisted_convolve_batch(f.values[None], g)[0])
+    return Field(f.grid, TwistedConvolver(g).apply(f.values[None])[0])
 
 
 def phi_k_field(k: int, grid: GridSpec) -> Field:

@@ -22,15 +22,15 @@ from specherm.schatten import (
     duality_check,
     extension_gram_matrix,
     g_z_weight,
-    random_smoothed_weight,
+    random_smoothed_weights,
 )
 from specherm.singularity import abel_sum, default_config, remainder_profile, singular_term
 from specherm.strichartz import SweepConfig, sweep
 from specherm.twisted import (
+    TwistedConvolver,
     cached_basis,
     forward_transform,
     inverse_transform,
-    twisted_convolve_batch,
 )
 
 
@@ -64,7 +64,7 @@ def test_criterion_2_twisted_orthogonality():
     worst = 0.0
     root = math.sqrt(2 * math.pi)
     for pg in tr.index_set:
-        products = twisted_convolve_batch(basis, fields[pg])  # every pf at once
+        products = TwistedConvolver(fields[pg]).apply(basis)  # every pf at once
         for pf, got in zip(tr.index_set, products):
             if pf.nu == pg.mu:
                 want = root * fields[MultiIndexPair(pf.mu, pg.nu)].values
@@ -193,6 +193,6 @@ def test_criterion_10_duality_principle():
     tr = enumerate_pairs(1, 6)
     tg = make_time_grid(16)
     grid = make_grid(1, default_half_width(1, 6), 48)
-    weights = [random_smoothed_weight(tg, grid, seed) for seed in range(20)]
+    weights = random_smoothed_weights(tg, grid, range(20))
     rep = duality_check(tr, tg, grid, weights, alpha=4.0, density_exponents=(2.0, 2.0))
     report("criterion 10 duality principle", [checks.constants_finite(rep), checks.constants_comparable(rep)])

@@ -189,7 +189,7 @@ class TestMixedNorm:
 
     @pytest.mark.parametrize("layout", ["fortran", "batch-innermost"])
     def test_memory_layout_leaves_norm_bit_identical(self, grid4, layout):
-        # a weight as twisted_convolve_batch returns it keeps its batch axis innermost
+        # the norm of a weight must not depend on the memory layout of its array
         rng = np.random.default_rng(7)
         tg = make_time_grid(16)
         F = rng.standard_normal((16,) + grid4.shape) + 1j * rng.standard_normal((16,) + grid4.shape)

@@ -19,7 +19,7 @@ from specherm.schatten import (
     extension_gram_matrix,
     g_z_weight,
     matched_system,
-    random_smoothed_weight,
+    random_smoothed_weights,
     sandwich_schatten,
     schatten_from_singular_values,
     t_z_schatten,
@@ -244,7 +244,7 @@ class TestWeightedGram:
         tr = enumerate_pairs(1, 6)
         tg = make_time_grid(n_t)
         grid = make_grid(1, default_half_width(1, 6), 48)
-        W = random_smoothed_weight(tg, grid, seed=0)
+        W = next(random_smoothed_weights(tg, grid, [0]))
         if system == "matched":
             U, nj = matched_system(tr, tg, grid, W, alpha=4.0)
         else:
@@ -423,7 +423,7 @@ class TestSandwich:
 
     def test_positive_semidefinite(self, small_setup):
         tr, tg, grid = small_setup
-        W = random_smoothed_weight(tg, grid, seed=1)
+        W = next(random_smoothed_weights(tg, grid, [1]))
         K = weighted_gram(W, tr, tg, grid)  # same nonzero spectrum as the sandwich
         evals = np.linalg.eigvalsh(K)
         assert evals.min() >= -1e-8 * evals.max()
@@ -447,7 +447,7 @@ _PROPERTY_SETUP = (enumerate_pairs(1, 2), make_time_grid(6), make_grid(1, 9.2, 3
 
 
 class TestGramProperties:
-    weights = st.integers(0, 2**16).map(lambda seed: random_smoothed_weight(*_PROPERTY_SETUP[1:], seed))
+    weights = st.integers(0, 2**16).map(lambda seed: next(random_smoothed_weights(*_PROPERTY_SETUP[1:], [seed])))
     scalars = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False, allow_infinity=False)
 
     @settings(max_examples=15, deadline=None)
@@ -478,7 +478,7 @@ class TestDuality:
 
     def test_single_function_ratios_positive(self, small_setup):
         tr, tg, grid = small_setup
-        W = random_smoothed_weight(tg, grid, seed=2)
+        W = next(random_smoothed_weights(tg, grid, [2]))
         rep = duality_check(tr, tg, grid, [W], **self.EXPONENTS)
         assert rep.sandwich_ratios.shape == rep.density_ratios.shape == (1,)
         assert rep.max_sandwich > 0 and math.isfinite(rep.max_sandwich)
@@ -487,7 +487,7 @@ class TestDuality:
 
     def test_density_side_homogeneity(self, small_setup):
         tr, tg, grid = small_setup
-        W = random_smoothed_weight(tg, grid, seed=3)
+        W = next(random_smoothed_weights(tg, grid, [3]))
         rep1 = duality_check(tr, tg, grid, [W], **self.EXPONENTS)
         rep2 = duality_check(tr, tg, grid, [2.0 * W], **self.EXPONENTS)
         # scaling W scales K(W), hence the sandwich and all n_j, and both
@@ -497,7 +497,7 @@ class TestDuality:
 
     def test_one_gram_matches_separate_calls(self, small_setup):
         tr, tg, grid = small_setup
-        W = random_smoothed_weight(tg, grid, seed=5)
+        W = next(random_smoothed_weights(tg, grid, [5]))
         rep = duality_check(tr, tg, grid, [W], **self.EXPONENTS)
         wn = mixed_norm(W, tg, grid, 4.0, 4.0, measure="dt/2pi")
         assert rep.sandwich_ratios[0] == pytest.approx(sandwich_schatten(W, tr, tg, grid, 4.0).norm / wn**2, rel=1e-12)
@@ -509,14 +509,14 @@ class TestDuality:
     def test_weight_exponents_are_twice_the_density_duals(self, small_setup):
         # the density in L^3_t L^1.5_z pairs with the weight in L^{2 * 3/2}_t L^{2 * 3}_z = L^3_t L^6_z
         tr, tg, grid = small_setup
-        W = random_smoothed_weight(tg, grid, seed=6)
+        W = next(random_smoothed_weights(tg, grid, [6]))
         rep = duality_check(tr, tg, grid, [W], alpha=4.0, density_exponents=(3.0, 1.5))
         want = sandwich_schatten(W, tr, tg, grid, 4.0).norm / mixed_norm(W, tg, grid, 3, 6, measure="dt/2pi") ** 2
         assert rep.sandwich_ratios[0] == pytest.approx(want, rel=1e-12)
 
     def test_matched_system_diagonalizes_gram(self, small_setup):
         tr, tg, grid = small_setup
-        W = random_smoothed_weight(tg, grid, seed=4)
+        W = next(random_smoothed_weights(tg, grid, [4]))
         coeffs, nj = matched_system(tr, tg, grid, W, alpha=4.0)
         K = weighted_gram(W, tr, tg, grid)
         evals = nj ** (1.0 / 3.0)  # n_j = eigenvalue^(alpha - 1)
@@ -533,7 +533,7 @@ class TestDuality:
     def test_degenerate_samples_skipped(self, small_setup):
         tr, tg, grid = small_setup
         W0 = np.zeros((tg.n_t,) + grid.shape)
-        W = random_smoothed_weight(tg, grid, seed=2)
+        W = next(random_smoothed_weights(tg, grid, [2]))
         rep = duality_check(tr, tg, grid, [W0, W], **self.EXPONENTS)
         # a zero weight has no sandwich ratio and an empty matched system
         assert rep.skipped == 2
@@ -548,8 +548,7 @@ class TestDuality:
     def test_sandwich_constant_stable_over_weights(self, small_setup):
         tr, tg, grid = small_setup
         ratios = []
-        for seed in range(10):
-            W = random_smoothed_weight(tg, grid, seed=seed)
+        for W in random_smoothed_weights(tg, grid, range(10)):
             num = sandwich_schatten(W, tr, tg, grid, 4.0).norm
             den = mixed_norm(W, tg, grid, 4.0, 4.0, measure="dt/2pi") ** 2
             ratios.append(num / den)

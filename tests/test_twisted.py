@@ -6,9 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specherm import checks, twisted
-from specherm.grids import Field, default_half_width, inner_product, lp_norm, make_grid, zero_field
+from specherm.grids import (
+    Field,
+    default_half_width,
+    inner_product,
+    lp_norm,
+    make_grid,
+    make_time_grid,
+    mixed_norm,
+    zero_field,
+)
 from specherm.indices import MultiIndex, MultiIndexPair, enumerate_pairs
+from specherm.propagator import ComplexTime, mehler_kernel_field
+from specherm.schatten import random_smoothed_weights
 from specherm.twisted import (
+    TwistedConvolver,
     apply_twisted_laplacian,
     cached_basis,
     forward_transform,
@@ -16,7 +28,6 @@ from specherm.twisted import (
     phi_k_field,
     project_k,
     twisted_convolve,
-    twisted_convolve_batch,
 )
 
 
@@ -135,7 +146,7 @@ class TestTwistedConvolve:
         g = (mode(tr1, plane, 1, 0), mode(tr1, plane, 0, 1))
         np.testing.assert_array_equal(np.multiply.outer(g[0].values, g[1].values), basis[pair((1, 0), (0, 1))])
         matched, unmatched = pair((0, 1), (1, 0)), pair((0, 0), (0, 1))
-        got = twisted_convolve_batch(basis[[matched, unmatched]], g)
+        got = TwistedConvolver(g).apply(basis[[matched, unmatched]])
         assert np.abs(got[0] - 2 * math.pi * basis[pair((0, 1), (0, 1))]).max() < 1e-3
         assert np.abs(got[1]).max() < 1e-3
 
@@ -164,7 +175,7 @@ class TestTwistedConvolve:
         grid = make_grid(n, 6.0, M)
         values = random_fields(grid, 3, seed=5)
         g = random_factors(grid, seed=6)
-        batch = twisted_convolve_batch(values, g)
+        batch = TwistedConvolver(g).apply(values)
         assert batch.shape == values.shape
         for v, got in zip(values, batch):
             # the batch changes only the order of the frequency-space sums (BLAS)
@@ -175,9 +186,9 @@ class TestTwistedConvolve:
         grid = make_grid(2, 6.0, 8)
         values = random_fields(grid, 3, seed=7)
         g = random_factors(grid, seed=8)
-        whole = twisted_convolve_batch(values, g)
+        whole = TwistedConvolver(g).apply(values)
         monkeypatch.setattr(twisted, "_CHUNK_ENTRIES", 5 * 8 * 8)
-        assert max_rel(twisted_convolve_batch(values, g), whole) < 1e-12
+        assert max_rel(TwistedConvolver(g).apply(values), whole) < 1e-12
 
     def test_n2_field_kernel_rejected(self):
         # an n >= 2 g is given by its one-coordinate factors, never as a field on the n = 2 grid
@@ -186,16 +197,86 @@ class TestTwistedConvolve:
         with pytest.raises(ValueError, match="one-coordinate"):
             twisted_convolve(zero_field(grid), g)
         with pytest.raises(ValueError, match="one-coordinate"):
-            twisted_convolve_batch(np.zeros((2,) + grid.shape), g)
+            TwistedConvolver(g)
 
     def test_grid_mismatch(self, grid4):
         other = make_grid(1, grid4.L, grid4.M + 2)
         with pytest.raises(ValueError):
             twisted_convolve(zero_field(grid4), zero_field(other))
         with pytest.raises(ValueError):
-            twisted_convolve_batch(np.zeros((2,) + other.shape), zero_field(grid4))
+            TwistedConvolver(zero_field(grid4)).apply(np.zeros((2,) + other.shape))
         with pytest.raises(ValueError):  # same M, other half-width
             twisted_convolve(zero_field(grid4), zero_field(make_grid(1, grid4.L + 1.0, grid4.M)))
+
+    @pytest.mark.parametrize("n_factors, n", [(2, 1), (1, 2)])
+    def test_factor_count_must_match_field_dimension(self, n_factors, n):
+        # g has one factor per complex coordinate of the fields it convolves
+        g = random_factors(make_grid(n_factors, 6.0, 8), seed=10)
+        f = zero_field(make_grid(n, 6.0, 8))
+        message = f"g has {n_factors} factor.*dimension {n}"
+        with pytest.raises(ValueError, match=message):
+            twisted_convolve(f, g)
+        with pytest.raises(ValueError, match=message):
+            TwistedConvolver(g).apply(np.zeros((2,) + f.grid.shape))
+
+    @pytest.mark.parametrize("B", [1, 3])
+    @pytest.mark.parametrize("M", [8, 24, 48])
+    def test_matrix_resample_matches_fft_formula(self, M, B):
+        # S f S^T against the pad-shift-cut FFT formula applied field by field; the bound,
+        # 1e-13 relative to the largest entry, was fixed before the first run
+        grid = make_grid(1, 6.0, M)
+        values = random_fields(grid, B, seed=11)
+        lattice = np.arange(1 - M, M) * grid.spacing
+        want = np.stack([difference_resample(v, M) for v in values]) * np.exp(-0.5j * np.outer(lattice, lattice))
+        assert max_rel(twisted._difference_samples(values, grid), want) < 1e-13
+
+
+class TestConvolver:
+    """A convolver builds each distinct factor's kernel spectrum once, whatever it convolves."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The factors ``_kernel_spectrum`` is called with, in order."""
+        calls = []
+        spectrum = twisted._kernel_spectrum
+
+        def counting(g):
+            calls.append(g)
+            return spectrum(g)
+
+        monkeypatch.setattr(twisted, "_kernel_spectrum", counting)
+        return calls
+
+    def test_repeated_factor_built_once_over_chunks_and_passes(self, built, monkeypatch):
+        # chunks of 5 planes: 13 chunks in each of the two coordinate passes
+        monkeypatch.setattr(twisted, "_CHUNK_ENTRIES", 5 * 8 * 8)
+        grid = make_grid(2, 6.0, 8)
+        k = random_factors(grid, seed=12)[0]
+        twisted_convolve(Field(grid, random_fields(grid, 1, seed=13)[0]), (k, k))
+        assert built == [k]
+
+    @pytest.mark.parametrize("n, M", [(1, 16), (2, 8)])
+    def test_weight_generator_builds_one_spectrum(self, built, n, M):
+        weights = list(random_smoothed_weights(make_time_grid(4), make_grid(n, 6.0, M), [0, 1, 2]))
+        assert len(weights) == 3
+        assert len(built) == 1
+
+    def test_weights_match_gather_reference(self):
+        # each weight against one built without the generator: the noise drawn as default_rng(seed)
+        # draws it, real block then imaginary block, each time slice convolved with the Mehler kernel
+        # by the per-output gather, then normalized in L^4_t L^4_z
+        tg, grid = make_time_grid(4), make_grid(1, 6.0, 16)
+        kernel = mehler_kernel_field(ComplexTime(0.2, 0.0), grid)
+        seeds = [3, 4]
+        weights = list(random_smoothed_weights(tg, grid, seeds))
+        assert len(weights) == len(seeds)
+        shape = (tg.n_t,) + grid.shape
+        for seed, got in zip(seeds, weights):
+            rng = np.random.default_rng(seed)
+            raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            want = np.stack([gather_reference(Field(grid, v), kernel) for v in raw])
+            want /= mixed_norm(want, tg, grid, 4.0, 4.0, measure="dt/2pi")
+            assert max_rel(got, want) < 1e-12
 
 
 class TestConvolutionProperties:
@@ -211,8 +292,9 @@ class TestConvolutionProperties:
         grid = make_grid(1, 6.0, 24)
         f1, f2, g1, g2 = random_fields(grid, 4, seed)
         g = Field(grid, g1)
-        lhs = twisted_convolve_batch((a * f1 + b * f2)[None], g)[0]
-        parts = twisted_convolve_batch(np.stack([f1, f2]), g)
+        convolve = TwistedConvolver(g).apply
+        lhs = convolve((a * f1 + b * f2)[None])[0]
+        parts = convolve(np.stack([f1, f2]))
         scale = abs(a) * np.abs(parts[0]).max() + abs(b) * np.abs(parts[1]).max()
         assert np.abs(lhs - (a * parts[0] + b * parts[1])).max() <= 1e-12 * scale
         f = Field(grid, f1)
