@@ -11,11 +11,12 @@ the remaining polynomial integrand.
 from __future__ import annotations
 
 import math
-from functools import lru_cache, reduce
+import operator
+from functools import lru_cache
 
 import numpy as np
 
-from .indices import MultiIndexPair, Truncation, multi_indices
+from .indices import Truncation, multi_indices
 
 # underflow threshold for the e^{-|zeta|^2/4} envelope: beyond this the
 # value is exactly 0.0 in double precision
@@ -103,19 +104,22 @@ def _as_coords(zeta, n: int) -> tuple[np.ndarray, np.ndarray]:
     return z.real, z.imag
 
 
-def special_hermite(pair: MultiIndexPair, zeta) -> complex:
-    """Two-index eigenfunction Phi_{mu nu}(zeta), zeta in C^n.
+def special_hermite(mu, nu, zeta) -> complex:
+    """Two-index eigenfunction Phi_{mu nu}(zeta), zeta in C^n, for integer sequences mu and nu of length n.
 
     The defining integral factorizes over coordinates, so this is a product
-    of n one-dimensional quadratures at the order of the pair's largest degree.
+    of n one-dimensional quadratures at the order of the larger of |mu| and |nu|.
     """
-    quad_order = default_quad_order(max(pair.mu.degree, pair.nu.degree))
-    x, y = _as_coords(zeta, pair.n)
+    mu, nu = (tuple(operator.index(e) for e in m) for m in (mu, nu))
+    if not mu or len(mu) != len(nu):
+        raise ValueError(f"need two multi-indices of the same length >= 1, got {mu} and {nu}")
+    if min(mu + nu) < 0:
+        raise ValueError(f"multi-index entries must be non-negative, got {mu} and {nu}")
+    quad_order = default_quad_order(max(sum(mu), sum(nu)))
+    x, y = _as_coords(zeta, len(mu))
     out = 1.0 + 0.0j
-    for j in range(pair.n):
-        kj = max(pair.mu.entries[j], pair.nu.entries[j])
-        t = _sh1d_table(kj, x[..., j], y[..., j], quad_order)
-        out = out * t[pair.mu.entries[j], pair.nu.entries[j]]
+    for j, (m, v) in enumerate(zip(mu, nu)):
+        out = out * _sh1d_table(max(m, v), x[..., j], y[..., j], quad_order)[m, v]
     if np.ndim(out) == 0 or np.shape(out) == (1,):
         return complex(np.ravel(out)[0])
     return out
@@ -125,10 +129,10 @@ def phi_k(k: int, zeta, n: int):
     """Diagonal eigenspace sum (2 pi)^{n/2} * sum over |nu| = k of Phi_{nu nu}(zeta)."""
     if k < 0:
         raise ValueError("degree must be non-negative")
+    nus = multi_indices(n, k)
     total = 0.0 + 0.0j
-    for nu in multi_indices(n, k):
-        if nu.degree == k:
-            total = total + special_hermite(MultiIndexPair(nu, nu), zeta)
+    for nu in nus[nus.sum(axis=1) == k]:
+        total = total + special_hermite(nu, nu, zeta)
     return (2.0 * math.pi) ** (n / 2.0) * total
 
 
@@ -141,7 +145,8 @@ def basis_matrix(tr: Truncation, grid) -> np.ndarray:
     # one 1D table T[mu, nu, x, y] on the M x M plane; Phi_{mu nu} is the outer product of n of its entries
     x, y = np.meshgrid(grid.axis, grid.axis, indexing="ij")
     table = _sh1d_table(tr.k_max, x, y, default_quad_order(tr.k_max))
-    out = np.empty((len(tr),) + grid.shape, dtype=complex)
-    for i, pair in enumerate(tr.index_set):
-        out[i] = reduce(np.multiply.outer, [table[m, v] for m, v in zip(pair.mu.entries, pair.nu.entries)])
+    out = table[tr.mu[:, 0], tr.nu[:, 0]]
+    for j in range(1, tr.n):
+        factor = table[tr.mu[:, j], tr.nu[:, j]]
+        out = out[..., None, None] * np.expand_dims(factor, tuple(range(1, out.ndim)))
     return out

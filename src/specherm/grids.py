@@ -17,7 +17,7 @@ import numpy as np
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
-    """Freeze an array cached on a grid: every caller of the grid shares it."""
+    """Freeze a cached array: every caller of the grid or truncation that holds it shares it."""
     a.setflags(write=False)
     return a
 
@@ -116,17 +116,6 @@ class Field:
 def sample_field(grid: GridSpec, fn) -> Field:
     """Sample ``fn(z_1, ..., z_n)`` (complex coordinate arrays) on the grid."""
     return Field(grid, np.asarray(fn(*grid.zeta_coords()), dtype=complex))
-
-
-def zero_field(grid: GridSpec) -> Field:
-    return Field(grid, np.zeros(grid.shape, dtype=complex))
-
-
-def inner_product(f: Field, g: Field) -> complex:
-    """Quadrature approximation of the L^2 pairing (f, g) = integral of f * conj(g)."""
-    if f.grid != g.grid:
-        raise ValueError("fields live on different grids")
-    return complex(np.sum(f.values * np.conj(g.values) * f.grid.weight_tensor))
 
 
 def lp_norm(f: Field, p: float) -> float:

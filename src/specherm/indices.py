@@ -13,57 +13,15 @@ from itertools import product
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class MultiIndex:
-    """An element of N_0^n."""
-
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.entries) == 0:
-            raise ValueError("multi-index must have at least one entry")
-        if any((not isinstance(e, int)) or e < 0 for e in self.entries):
-            raise ValueError(f"multi-index entries must be non-negative ints, got {self.entries}")
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    @property
-    def degree(self) -> int:
-        return sum(self.entries)
+from .grids import _read_only
 
 
-@dataclass(frozen=True)
-class MultiIndexPair:
-    """Label (mu, nu) of a twisted-Laplacian eigenmode; eigenvalue 2|nu| + n."""
-
-    mu: MultiIndex
-    nu: MultiIndex
-
-    def __post_init__(self):
-        if self.mu.n != self.nu.n:
-            raise ValueError(f"dimension mismatch: {self.mu.n} vs {self.nu.n}")
-
-    @property
-    def n(self) -> int:
-        return self.mu.n
-
-    def eigenvalue(self) -> int:
-        return 2 * self.nu.degree + self.n
-
-
-def multi_indices(n: int, k_max: int) -> list[MultiIndex]:
-    """All multi-indices of length ``n`` and degree <= ``k_max``, graded-lex ordered."""
+def multi_indices(n: int, k_max: int) -> np.ndarray:
+    """All multi-indices of length ``n`` and degree <= ``k_max``, graded-lex ordered, one per row."""
     if n < 1 or k_max < 0:
         raise ValueError("need n >= 1 and k_max >= 0")
-    out = []
-    for deg in range(k_max + 1):
-        for combo in product(range(deg + 1), repeat=n):
-            if sum(combo) == deg:
-                out.append(MultiIndex(combo))
-    return out
+    rows = [combo for deg in range(k_max + 1) for combo in product(range(deg + 1), repeat=n) if sum(combo) == deg]
+    return np.array(rows, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -79,18 +37,22 @@ class Truncation:
     k_max: int
 
     def __post_init__(self):
-        self.index_set  # an invalid (n, k_max) raises here, at construction
+        self.mu  # an invalid (n, k_max) raises here, at construction
 
     @cached_property
-    def index_set(self) -> tuple[MultiIndexPair, ...]:
+    def mu(self) -> np.ndarray:
+        """First multi-index of every pair, one row each (the slower-varying one): read-only, shared."""
         singles = multi_indices(self.n, self.k_max)
-        return tuple(MultiIndexPair(mu, nu) for mu in singles for nu in singles)
+        return _read_only(np.repeat(singles, len(singles), axis=0))
+
+    @cached_property
+    def nu(self) -> np.ndarray:
+        """Second multi-index of every pair, one row each: read-only, shared."""
+        singles = multi_indices(self.n, self.k_max)
+        return _read_only(np.tile(singles, (len(singles), 1)))
 
     def __len__(self) -> int:
-        return len(self.index_set)
-
-    def position(self, pair: MultiIndexPair) -> int:
-        return self.index_set.index(pair)
+        return len(self.mu)
 
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalue 2|nu| + n of every pair, in order: one read-only array shared by every caller."""
@@ -98,19 +60,14 @@ class Truncation:
 
     @cached_property
     def _eigenvalues(self) -> np.ndarray:
-        lam = np.array([p.eigenvalue() for p in self.index_set], dtype=np.int64)
-        lam.setflags(write=False)
-        return lam
+        return _read_only(2 * self.nu.sum(axis=1) + self.n)
 
     @cached_property
     def level_blocks(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         """The distinct eigenvalues in ascending order and the positions of the pairs at each: read-only, shared."""
         lam = self._eigenvalues
-        levels = np.unique(lam)
-        blocks = tuple(np.flatnonzero(lam == level) for level in levels)
-        for a in (levels, *blocks):
-            a.setflags(write=False)
-        return levels, blocks
+        levels = _read_only(np.unique(lam))
+        return levels, tuple(_read_only(np.flatnonzero(lam == level)) for level in levels)
 
 
 def enumerate_pairs(n: int, k_max: int) -> Truncation:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import GridSpec, TimeGrid, make_grid, mixed_norm
-from .indices import MultiIndex, Truncation
+from .indices import Truncation
 from .propagator import ComplexTime, _half_period_nodes, mehler_kernel_field, propagate_samples
 from .singularity import gamma
 from .strichartz import density, density_norm
@@ -55,15 +55,15 @@ def schatten_from_singular_values(s: np.ndarray, r: float) -> SchattenReport:
     return SchattenReport(singular_values=s, norm=norm)
 
 
-def g_z_weight(z: complex, mu: MultiIndex, nu: MultiIndex, lam: int) -> complex:
-    """Analytic-family weight (lam - (2|nu| + n))_+^z / Gamma(z + 1).
+def g_z_weight(z: complex, nu, lam: int) -> complex:
+    """Analytic-family weight (lam - (2|nu| + n))_+^z / Gamma(z + 1), n the length of ``nu``.
 
     Zero when the gap is non-positive; the z = -1 surface-delta case is a
     dedicated path in build_t_z, not a pointwise formula, so negative
     integers are rejected here.
     """
     z = _pointwise_z(z)
-    gap = lam - (2 * nu.degree + mu.n)
+    gap = int(lam - (2 * sum(nu) + len(nu)))
     if gap <= 0:
         return 0.0 + 0.0j
     return complex(gap**z / gamma(z + 1))
@@ -271,8 +271,8 @@ def random_smoothed_weights(tg: TimeGrid, grid: GridSpec, seeds: Iterable[int]) 
     Each time slice of a complex Gaussian sample field (from
     ``default_rng(seed)``, the real parts drawn before the imaginary parts) is
     smoothed by one application of the semigroup (via its closed-form
-    kernel), then the whole field is normalized to unit L^4 norm on the
-    product measure.  One convolver serves every seed, so the kernel's
+    kernel), then the whole field is normalized to unit L^4_t L^4_z norm
+    (``mixed_norm`` with measure dt/2pi).  One convolver serves every seed, so the kernel's
     spectrum is built once and released with the generator.
     """
     kernel = mehler_kernel_field(ComplexTime(0.2, 0.0), make_grid(1, grid.L, grid.M))

@@ -190,8 +190,8 @@ def project_k(f: Field, k: int) -> Field:
     n = f.grid.n
     # phi_k = sum over k_1 + ... + k_n = k of phi_{k_1}(z_1) ... phi_{k_n}(z_n)
     plane = make_grid(1, f.grid.L, f.grid.M)
-    parts = [twisted_convolve(f, tuple(phi_k_field(kj, plane) for kj in nu.entries)).values
-             for nu in multi_indices(n, k) if nu.degree == k]
+    nus = multi_indices(n, k)
+    parts = [twisted_convolve(f, tuple(phi_k_field(kj, plane) for kj in nu)).values for nu in nus[nus.sum(axis=1) == k]]
     return Field(f.grid, (2.0 * math.pi) ** (-n) * sum(parts))
 
 

@@ -14,7 +14,7 @@ from scipy.special import gamma, zeta
 
 from specherm import checks
 from specherm.grids import Field, default_half_width, lp_norm, make_grid, make_time_grid
-from specherm.indices import MultiIndexPair, enumerate_pairs
+from specherm.indices import enumerate_pairs
 from specherm.propagator import ComplexTime
 from specherm.schatten import (
     build_t_z,
@@ -60,16 +60,14 @@ def test_criterion_2_twisted_orthogonality():
     tr = enumerate_pairs(1, 3)
     grid = make_grid(1, default_half_width(1, 3), 48)
     basis = cached_basis(tr, grid)
-    fields = {p: Field(grid, basis[i]) for i, p in enumerate(tr.index_set)}
+    labels = list(zip(tr.mu[:, 0].tolist(), tr.nu[:, 0].tolist()))  # n = 1: (mu, nu) of each row
+    row_of = {label: i for i, label in enumerate(labels)}
     worst = 0.0
     root = math.sqrt(2 * math.pi)
-    for pg in tr.index_set:
-        products = TwistedConvolver(fields[pg]).apply(basis)  # every pf at once
-        for pf, got in zip(tr.index_set, products):
-            if pf.nu == pg.mu:
-                want = root * fields[MultiIndexPair(pf.mu, pg.nu)].values
-            else:
-                want = 0.0
+    for (g_mu, g_nu), g in zip(labels, basis):
+        products = TwistedConvolver(Field(grid, g)).apply(basis)  # every f at once
+        for (f_mu, f_nu), got in zip(labels, products):
+            want = root * basis[row_of[f_mu, g_nu]] if f_nu == g_mu else 0.0
             worst = max(worst, float(np.abs(got - want).max()))
     report("criterion 2 twisted orthogonality", [], worst <= 1e-4, f"max entry error {worst:.2e} (<=1e-4)")
 
@@ -129,8 +127,8 @@ def test_criterion_6_endpoint_multiplier():
     for s in (0.0, 1.0, 2.0):
         bound = abs(1.0 / gamma(1.0 + 1j * s))
         gmax = max(
-            abs(g_z_weight(complex(0.0, s), p.mu, p.nu, lam))
-            for p in tr.index_set
+            abs(g_z_weight(complex(0.0, s), nu, lam))
+            for nu in tr.nu
             for lam in range(-cut, cut + 1)
         )
         # |gap^{is}| = 1 analytically; complex pow rounds by a few ulps

@@ -1,4 +1,6 @@
 import math
+from functools import reduce
+from itertools import product
 
 import numpy as np
 import pytest
@@ -6,11 +8,7 @@ from scipy import integrate
 
 from specherm.basis import _sh1d_table, basis_matrix, default_quad_order, hermite_1d, phi_k, special_hermite
 from specherm.grids import default_half_width, make_grid
-from specherm.indices import MultiIndex, MultiIndexPair, Truncation, enumerate_pairs, multi_indices
-
-
-def pair(mu, nu):
-    return MultiIndexPair(MultiIndex(tuple(mu)), MultiIndex(tuple(nu)))
+from specherm.indices import Truncation, enumerate_pairs, multi_indices
 
 
 class TestHermite1d:
@@ -52,39 +50,38 @@ def _defining_integral_1d(mu, nu, zeta):
 
 class TestSpecialHermite:
     def test_ground_state_origin(self):
-        got = special_hermite(pair([0], [0]), 0.0)
+        got = special_hermite([0], [0], 0.0)
         assert got == pytest.approx((2 * math.pi) ** -0.5, rel=1e-12)
 
     def test_ground_state_gaussian_profile(self):
-        got = special_hermite(pair([0], [0]), 2.0 + 0.0j)
+        got = special_hermite([0], [0], 2.0 + 0.0j)
         assert got == pytest.approx((2 * math.pi) ** -0.5 * math.exp(-1.0), rel=1e-12)
 
     def test_against_adaptive_quadrature(self):
         zeta = 0.7 + 0.3j
         for mu, nu in [(1, 0), (2, 3), (0, 4)]:
-            got = special_hermite(pair([mu], [nu]), zeta)
+            got = special_hermite([mu], [nu], zeta)
             want = _defining_integral_1d(mu, nu, zeta)
             assert got == pytest.approx(want, abs=1e-11)
 
     def test_doubled_quadrature_agrees(self):
-        p = pair([3], [2])
-        base = special_hermite(p, 1.1 - 0.4j)
+        base = special_hermite([3], [2], 1.1 - 0.4j)
         refined = complex(_sh1d_table(3, 1.1, -0.4, 2 * default_quad_order(3))[3, 2])
         assert base == pytest.approx(refined, rel=1e-12)
 
     def test_coordinate_factorization(self):
         z1, z2 = 0.5 + 0.2j, -0.3 + 0.9j
-        got = special_hermite(pair([1, 2], [0, 1]), np.array([z1, z2]))
-        want = special_hermite(pair([1], [0]), z1) * special_hermite(pair([2], [1]), z2)
+        got = special_hermite([1, 2], [0, 1], np.array([z1, z2]))
+        want = special_hermite([1], [0], z1) * special_hermite([2], [1], z2)
         assert got == pytest.approx(want, rel=1e-10)
 
     def test_diagonal_value_real_at_origin(self):
         for k in range(5):
-            v = special_hermite(pair([k], [k]), 0.0)
+            v = special_hermite([k], [k], 0.0)
             assert abs(v.imag) < 1e-10
 
     def test_far_field_is_zero(self):
-        assert special_hermite(pair([0], [0]), 80.0 + 0.0j) == 0.0
+        assert special_hermite([0], [0], 80.0 + 0.0j) == 0.0
 
 
 class TestBasisMatrix:
@@ -94,10 +91,23 @@ class TestBasisMatrix:
         tr = enumerate_pairs(2, 2)
         grid = make_grid(2, default_half_width(2, 2), 10)
         points = np.stack(grid.zeta_coords(), axis=-1)
-        want = np.stack([special_hermite(p, points) for p in tr.index_set])
+        want = np.stack([special_hermite(mu, nu, points) for mu, nu in zip(tr.mu, tr.nu)])
         got = basis_matrix(tr, grid)
         assert got.shape == (len(tr),) + grid.shape
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_n3_rows_are_outer_products_of_n1_rows(self):
+        # the first n at which the per-coordinate broadcast runs twice; a
+        # pointwise special_hermite reference at n = 3 is too slow here
+        tr, tr1 = enumerate_pairs(3, 1), enumerate_pairs(1, 1)
+        grid = make_grid(3, default_half_width(3, 1), 8)
+        rows = basis_matrix(tr1, make_grid(1, grid.L, grid.M))
+        row_of = {(m, v): i for i, (m, v) in enumerate(zip(tr1.mu[:, 0].tolist(), tr1.nu[:, 0].tolist()))}
+        got = basis_matrix(tr, grid)
+        assert got.shape == (len(tr),) + grid.shape
+        for i, (mu, nu) in enumerate(zip(tr.mu.tolist(), tr.nu.tolist())):
+            want = reduce(np.multiply.outer, [rows[row_of[m, v]] for m, v in zip(mu, nu)])
+            np.testing.assert_array_equal(got[i], want)
 
 
 class TestPhiK:
@@ -111,11 +121,7 @@ class TestPhiK:
     def test_matches_term_by_term_sum(self):
         # k = 2, n = 2: the three nu with |nu| = 2 summed explicitly
         z = np.array([0.4 + 0.1j, -0.2 + 0.3j])
-        terms = sum(
-            special_hermite(MultiIndexPair(nu, nu), z)
-            for nu in multi_indices(2, 2)
-            if nu.degree == 2
-        )
+        terms = sum(special_hermite(nu, nu, z) for nu in [(2, 0), (1, 1), (0, 2)])
         want = (2 * math.pi) ** 1 * terms
         assert phi_k(2, z, 2) == pytest.approx(want, rel=1e-10)
 
@@ -127,9 +133,16 @@ class TestIndices:
         assert len(enumerate_pairs(2, 1)) == 9
 
     def test_ordering_deterministic(self):
-        a = enumerate_pairs(1, 3)
-        b = enumerate_pairs(1, 3)
-        assert a.index_set == b.index_set
+        # graded-lex: by degree, then lexicographic; pairs by mu, then by nu
+        singles = sorted((c for c in product(range(2), repeat=2) if sum(c) <= 1), key=lambda c: (sum(c), c))
+        assert multi_indices(2, 1).tolist() == [list(c) for c in singles] == [[0, 0], [0, 1], [1, 0]]
+        tr = Truncation(2, 1)
+        assert tr.mu.dtype == tr.nu.dtype == np.int64
+        assert tr.mu.tolist() == [list(m) for m in singles for _ in singles]
+        assert tr.nu.tolist() == [list(v) for _ in singles for v in singles]
+        a, b = enumerate_pairs(1, 3), enumerate_pairs(1, 3)
+        np.testing.assert_array_equal(a.mu, b.mu)
+        np.testing.assert_array_equal(a.nu, b.nu)
 
     def test_truncation_is_its_n_and_kmax(self):
         tr = enumerate_pairs(2, 1)
@@ -141,18 +154,27 @@ class TestIndices:
 
     def test_no_duplicates(self):
         tr = enumerate_pairs(2, 2)
-        assert len(set(tr.index_set)) == len(tr)
+        assert len(np.unique(np.hstack([tr.mu, tr.nu]), axis=0)) == len(tr)
+        for name in ("mu", "nu"):  # built once, shared, read-only
+            a = getattr(tr, name)
+            assert a is getattr(tr, name) and a.shape == (len(tr), 2)
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 1
 
     def test_eigenvalue(self):
-        assert pair([0], [3]).eigenvalue() == 7
-        assert pair([1, 1], [2, 0]).eigenvalue() == 6
+        def eigenvalue(tr, mu, nu):
+            (i,) = np.flatnonzero((tr.mu == mu).all(axis=1) & (tr.nu == nu).all(axis=1))
+            return tr.eigenvalues()[i]
+
+        assert eigenvalue(enumerate_pairs(1, 3), (0,), (3,)) == 7
+        assert eigenvalue(enumerate_pairs(2, 2), (1, 1), (2, 0)) == 6
 
     def test_eigenvalues_one_read_only_integer_array(self):
         tr = enumerate_pairs(2, 2)
         lam = tr.eigenvalues()
         assert lam is tr.eigenvalues()
         assert lam.dtype.kind == "i"
-        assert lam.tolist() == [p.eigenvalue() for p in tr.index_set]
+        assert lam.tolist() == [2 * sum(nu) + 2 for nu in tr.nu.tolist()]
         with pytest.raises(ValueError):
             lam[0] = 0
 
@@ -171,5 +193,7 @@ class TestIndices:
                 a[0] = 0
 
     def test_negative_entries_rejected(self):
-        with pytest.raises(ValueError):
-            MultiIndex((-1,))
+        # special_hermite takes (mu, nu) as plain integer sequences and checks them itself
+        for mu, nu in [((-1,), (0,)), ((0, 1), (0, -2)), ((0, 1), (0,)), ((), ())]:
+            with pytest.raises(ValueError):
+                special_hermite(mu, nu, 0.0)

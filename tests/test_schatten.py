@@ -8,7 +8,7 @@ from scipy import integrate, linalg
 from scipy.special import gamma
 
 from specherm.grids import default_half_width, make_grid, make_time_grid, mixed_norm
-from specherm.indices import MultiIndex, MultiIndexPair, enumerate_pairs
+from specherm.indices import enumerate_pairs
 from specherm.propagator import propagate_coeffs, propagate_samples
 from specherm.schatten import (
     _SV_CLAMP,
@@ -27,10 +27,6 @@ from specherm.schatten import (
 )
 from specherm.strichartz import density, sample_orthonormal_system
 from specherm.twisted import cached_basis, inverse_transform
-
-
-def pair(mu, nu):
-    return MultiIndexPair(MultiIndex((mu,)), MultiIndex((nu,)))
 
 
 @pytest.fixture(scope="module")
@@ -128,7 +124,7 @@ def frame_qr_singular_values(z, tr, tg, grid):
     sqrtw = np.sqrt(np.outer(np.full(tg.n_t, 1.0 / tg.n_t), grid.weight_tensor.ravel()))
     phases = np.exp(-1j * np.outer(tg.nodes, lams))
     F = np.einsum("al,pz,az->azpl", phases, basis, sqrtw).reshape(tg.n_t * grid.size, -1)
-    g = np.array([g_z_weight(z, p.mu, p.nu, int(lam)) for p in tr.index_set for lam in lams])
+    g = np.array([g_z_weight(z, nu, int(lam)) for nu in tr.nu for lam in lams])
     R = linalg.qr(F, mode="economic")[1]
     return linalg.svdvals((R * g) @ R.conj().T)
 
@@ -300,22 +296,21 @@ class TestExtensionOperator:
 
 class TestGzWeight:
     def test_indicator_at_zero(self):
-        p = pair(0, 1)  # eigenvalue 3
-        assert g_z_weight(0.0, p.mu, p.nu, 5) == 1.0
-        assert g_z_weight(0.0, p.mu, p.nu, 3) == 0.0
-        assert g_z_weight(0.0, p.mu, p.nu, 1) == 0.0
+        nu = (1,)  # eigenvalue 3
+        assert g_z_weight(0.0, nu, 5) == 1.0
+        assert g_z_weight(0.0, nu, 3) == 0.0
+        assert g_z_weight(0.0, nu, 1) == 0.0
 
     def test_half_pole_value(self):
-        p = pair(0, 0)  # eigenvalue 1, gap 4 at lambda = 5
+        nu = (0,)  # eigenvalue 1, gap 4 at lambda = 5
         want = 0.5 / math.sqrt(math.pi)
-        assert g_z_weight(-0.5, p.mu, p.nu, 5) == pytest.approx(want, rel=1e-12)
+        assert g_z_weight(-0.5, nu, 5) == pytest.approx(want, rel=1e-12)
 
     def test_negative_integer_rejected(self):
-        p = pair(0, 0)
         with pytest.raises(ValueError):
-            g_z_weight(-2.0, p.mu, p.nu, 5)
+            g_z_weight(-2.0, (0,), 5)
         with pytest.raises(ValueError):
-            g_z_weight(-1.0, p.mu, p.nu, 5)
+            g_z_weight(-1.0, (0,), 5)
 
     def test_frame_weights_match_pointwise_weights(self):
         # _t_z_factors forms every (pair, lambda) weight with one Gamma(z + 1)
@@ -324,7 +319,7 @@ class TestGzWeight:
         for z in (0.0, -0.5, 1.3, 0.5j, -0.3 + 0.7j, 2.0 - 1.5j):
             lams, weights = _t_z_factors(z, tr, tg, grid)
             assert weights.shape == (len(tr), len(lams))
-            want = np.array([[g_z_weight(z, p.mu, p.nu, int(lam)) for lam in lams] for p in tr.index_set])
+            want = np.array([[g_z_weight(z, nu, int(lam)) for lam in lams] for nu in tr.nu])
             assert np.all((weights == 0) == (want == 0))
             assert np.all(np.abs(weights - want) <= 1e-15 * np.abs(want))
 
@@ -358,9 +353,7 @@ class TestBuildTz:
         # G_0 keeps exactly the frequencies strictly above the surface, each
         # contributing a unit singular value, so the trace norm counts them
         cut = default_lambda_cut(tr)
-        kept = sum(
-            1 for p in tr.index_set for lam in range(-cut, cut + 1) if lam > p.eigenvalue()
-        )
+        kept = sum(1 for ev in tr.eigenvalues() for lam in range(-cut, cut + 1) if lam > ev)
         rep = t_z_schatten(0.0, tr, tg, grid, 1.0)
         assert rep.norm == pytest.approx(kept, rel=1e-5)
 
