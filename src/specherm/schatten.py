@@ -198,7 +198,6 @@ def sandwich_schatten(w_samples: np.ndarray, tr: Truncation, tg: TimeGrid, grid:
 class DualityReport:
     """Empirical constants for the two sides of the sandwich/density duality."""
 
-    alpha: float
     sandwich_ratios: np.ndarray
     density_ratios: np.ndarray
     skipped: int
@@ -257,12 +256,7 @@ def duality_check(
         raise ValueError(
             f"duality check has no ratio on a side: every weight was degenerate ({skipped} sides skipped)"
         )
-    return DualityReport(
-        alpha=alpha,
-        sandwich_ratios=np.array(sandwich_ratios),
-        density_ratios=np.array(density_ratios),
-        skipped=skipped,
-    )
+    return DualityReport(np.array(sandwich_ratios), np.array(density_ratios), skipped)
 
 
 def random_smoothed_weights(tg: TimeGrid, grid: GridSpec, seeds: Iterable[int]) -> Iterator[np.ndarray]:

@@ -9,11 +9,10 @@ makes time sweeps cheap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import GridSpec, TimeGrid, make_time_grid, mixed_norm
+from .grids import GridSpec, TimeGrid, mixed_norm
 from .indices import Truncation
 from .propagator import _half_period_nodes, level_parts, synthesize
 
@@ -99,37 +98,6 @@ def density_norm(dens: np.ndarray, tg: TimeGrid, grid: GridSpec, p: float, q: fl
     return mixed_norm(dens[:half], TimeGrid(half), grid, p, q, measure)
 
 
-@dataclass
-class SweepConfig:
-    """Grid of exponents, system sizes and trials for one sweep run."""
-
-    truncation: Truncation
-    grid: GridSpec
-    n_t: int = 32
-    system_sizes: tuple = (1, 2, 4, 8, 16)
-    trials: int = 20
-    seed: int = 0
-
-    def __post_init__(self):
-        if max(self.system_sizes) > len(self.truncation):
-            raise ValueError("largest system size exceeds truncation dimension")
-        if sum(N >= 2 for N in self.system_sizes) < 2:
-            raise ValueError(f"system sizes {self.system_sizes} have fewer than two sizes >= 2 for the growth fit")
-
-
-@dataclass
-class SweepReport:
-    """Row-level results plus per-(q, N) maxima and the N-growth fit."""
-
-    rows: list = field(default_factory=list)  # (n, p, q, N, trial, ratio, lhs, rhs)
-    max_ratio_by_cell: dict = field(default_factory=dict)  # (q, N) -> max ratio
-    growth_exponent: float = math.nan
-
-    @property
-    def max_ratio(self) -> float:
-        return max(r[5] for r in self.rows)
-
-
 def fit_growth_exponent(sizes, lhs_values) -> float:
     """Least-squares slope of log LHS against log N, restricted to N >= 2."""
     sizes = np.asarray(sizes, dtype=float)
@@ -140,40 +108,44 @@ def fit_growth_exponent(sizes, lhs_values) -> float:
     return float(np.polyfit(np.log(sizes[keep]), np.log(lhs[keep]), 1)[0])
 
 
-def sweep(config: SweepConfig) -> SweepReport:
-    """Run the full exponent/size/trial grid and summarize.
+def sweep(tr: Truncation, tg: TimeGrid, grid: GridSpec, sizes, trials: int, seed: int) -> list:
+    """Strichartz quotients of random orthonormal systems, as sorted rows (n, p, q, N, trial, ratio, lhs, rhs).
 
     The exponents are q = 1 + j/(4n) for j = 0, 1, 2, 4, from the
     triangle-inequality endpoint q = 1 to the diagonal q = 1 + 1/n, each with
-    its admissible p.  The growth-exponent fit is done
-    at (p, q) = (2, 2) with unit coefficients on the canonical eigenfunction
-    systems (first N basis modes): these are deterministic and exhibit the
-    orthonormality gain, whereas Gaussian random systems in a fixed finite
-    truncation have densities dominated by their mean and fit a slope near 1
-    at every truncation size.
+    its admissible p.  Trial ``trial`` of size N samples its system with the
+    seed ``seed + 1000 N + trial`` and gives every function the weight 1.
     """
-    tr, grid = config.truncation, config.grid
-    tg = make_time_grid(config.n_t)
-    report = SweepReport()
+    for N in sizes:
+        if not 1 <= N <= len(tr):
+            raise ValueError(f"system size {N} outside [1, {len(tr)}] (the truncation dimension)")
     n = grid.n
     q_values = tuple(1.0 + j / (4 * n) for j in (0, 1, 2, 4))
-    for N in config.system_sizes:
-        for trial in range(config.trials):
+    rows = []
+    for N in sizes:
+        for trial in range(trials):
             nj = np.ones(N)
-            dens = density(sample_orthonormal_system(tr, N, seed=config.seed + 1000 * N + trial), nj, tr, tg, grid)
+            dens = density(sample_orthonormal_system(tr, N, seed=seed + 1000 * N + trial), nj, tr, tg, grid)
             for q in q_values:
                 p = admissible_exponents(n, q)
                 lhs = density_norm(dens, tg, grid, p, q)
                 rhs = float(np.linalg.norm(nj, 2.0 * q / (q + 1.0)))  # the dual coefficient norm
-                ratio = lhs / rhs
-                report.rows.append((n, p, q, N, trial, ratio, lhs, rhs))
-                key = (q, N)
-                report.max_ratio_by_cell[key] = max(report.max_ratio_by_cell.get(key, 0.0), ratio)
-    sizes = sorted(config.system_sizes)
-    fit_lhs = []
-    for N in sizes:
-        dens = density(eigenfunction_system(tr, N), np.ones(N), tr, tg, grid)
-        fit_lhs.append(density_norm(dens, tg, grid, 2.0, 2.0))
-    report.growth_exponent = fit_growth_exponent(sizes, fit_lhs)
-    report.rows.sort()
-    return report
+                rows.append((n, p, q, N, trial, lhs / rhs, lhs, rhs))
+    return sorted(rows)
+
+
+def eigenfunction_growth(tr: Truncation, tg: TimeGrid, grid: GridSpec, sizes) -> float:
+    """Growth exponent in N of the (2, 2) norm of the first-N-modes density, fitted over the sizes N >= 2.
+
+    The canonical eigenfunction systems (first N basis modes, unit
+    coefficients) are deterministic and exhibit the orthonormality gain,
+    whereas Gaussian random systems in a fixed finite truncation have
+    densities dominated by their mean and fit a slope near 1 at every
+    truncation size.
+    """
+    fit_sizes = sorted(N for N in sizes if N >= 2)
+    if len(fit_sizes) < 2:
+        raise ValueError(f"system sizes {sizes} have fewer than two sizes >= 2 for the growth fit")
+    lhs = [density_norm(density(eigenfunction_system(tr, N), np.ones(N), tr, tg, grid), tg, grid, 2.0, 2.0)
+           for N in fit_sizes]
+    return fit_growth_exponent(fit_sizes, lhs)

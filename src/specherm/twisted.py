@@ -15,14 +15,13 @@ reuses it for every batch it convolves.
 """
 from __future__ import annotations
 
-import math
 from collections import OrderedDict
 
 import numpy as np
 
-from .basis import basis_matrix, phi_k as _phi_k_point
-from .grids import Field, GridSpec, make_grid, sample_field
-from .indices import Truncation, multi_indices
+from .basis import basis_matrix
+from .grids import Field, GridSpec
+from .indices import Truncation
 
 # bases kept, least recently used evicted first: one n = 2 basis at M = 24 is 191 MB
 _BASIS_CACHE_SIZE = 4
@@ -168,11 +167,6 @@ def twisted_convolve(f: Field, g) -> Field:
     return Field(f.grid, TwistedConvolver(g).apply(f.values[None])[0])
 
 
-def phi_k_field(k: int, grid: GridSpec) -> Field:
-    """Diagonal eigenspace sum phi_k sampled on the grid."""
-    return sample_field(grid, lambda *zs: _phi_k_point(k, np.stack(zs, axis=-1), grid.n))
-
-
 def forward_transform(f: Field, tr: Truncation) -> np.ndarray:
     """Coefficients (f, Phi_{mu nu}) for every pair in the truncation, in its order."""
     basis = cached_basis(tr, f.grid)
@@ -183,16 +177,6 @@ def forward_transform(f: Field, tr: Truncation) -> np.ndarray:
 def inverse_transform(c, tr: Truncation, grid: GridSpec) -> Field:
     """The expansion sum_p c_p Phi_p over the truncation, sampled on the grid."""
     return Field(grid, np.tensordot(coefficient_vector(c, tr), cached_basis(tr, grid), axes=(0, 0)))
-
-
-def project_k(f: Field, k: int) -> Field:
-    """Projection onto the eigenspace of eigenvalue 2k + n: P_k f = (2 pi)^{-n} f x phi_k."""
-    n = f.grid.n
-    # phi_k = sum over k_1 + ... + k_n = k of phi_{k_1}(z_1) ... phi_{k_n}(z_n)
-    plane = make_grid(1, f.grid.L, f.grid.M)
-    nus = multi_indices(n, k)
-    parts = [twisted_convolve(f, tuple(phi_k_field(kj, plane) for kj in nu)).values for nu in nus[nus.sum(axis=1) == k]]
-    return Field(f.grid, (2.0 * math.pi) ** (-n) * sum(parts))
 
 
 def _derivatives(values: np.ndarray, axis: int, h: float) -> tuple[np.ndarray, np.ndarray]:

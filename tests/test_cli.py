@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -220,6 +221,21 @@ class TestCommands:
         payload = json.loads(out.read_text())
         assert f"[PASS] ratios-finite (max {payload['max_ratio']:.4f})" in result.stdout
         assert f"[PASS] growth-exponent ({payload['growth_exponent']:.4f})" in result.stdout
+
+    def test_strichartz_sweep_cells_are_row_maxima(self, runner, tmp_path):
+        args = ["strichartz-sweep", "--trials", "3", "--kmax", "4", "--nt", "12", "--seed", "7"]
+        paths = {fmt: tmp_path / f"sweep.{fmt}" for fmt in ("json", "csv")}
+        for fmt, path in paths.items():
+            result = runner.invoke(main, [*args, "--format", fmt, "--out", str(path)])
+            assert result.exit_code == 0, result.output
+        want = {}
+        for line in paths["csv"].read_text().splitlines()[1:]:
+            _, _, q, N, _, ratio, _, _ = line.split(",")
+            key = (float(q), int(N))
+            want[key] = max(want.get(key, -math.inf), float(ratio))
+        cells = json.loads(paths["json"].read_text())["max_ratio_by_cell"]
+        assert list(cells) == [f"q={q},N={N}" for q, N in sorted(want)]
+        assert list(cells.values()) == [want[key] for key in sorted(want)]
 
     def test_strichartz_sweep_n2(self, runner, tmp_path):
         # the exponent grid q = 1 + j/(4n) stays inside [1, 1 + 1/n]; the n = 2 growth band is not set yet

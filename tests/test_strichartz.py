@@ -9,10 +9,10 @@ from specherm.grids import default_half_width, make_grid, make_time_grid, mixed_
 from specherm.indices import enumerate_pairs
 from specherm.propagator import propagate_coeffs
 from specherm.strichartz import (
-    SweepConfig,
     admissible_exponents,
     density,
     density_norm,
+    eigenfunction_growth,
     eigenfunction_system,
     fit_growth_exponent,
     sample_orthonormal_system,
@@ -226,29 +226,43 @@ class TestStrichartzRatio:
         assert r == pytest.approx(1.0, abs=1e-6)
 
 
+SWEEP_SIZES = (1, 2, 4, 8)
+
+
 @pytest.fixture(scope="module")
-def report(tr4, grid4):
-    cfg = SweepConfig(
-        truncation=tr4, grid=grid4, n_t=16, system_sizes=(1, 2, 4, 8), trials=4, seed=0,
-    )
-    return sweep(cfg)
+def rows(tr4, grid4, tg16):
+    return sweep(tr4, tg16, grid4, SWEEP_SIZES, trials=4, seed=0)
 
 
 class TestSweep:
-    def test_all_ratios_finite(self, report):
-        assert math.isfinite(report.max_ratio)
-        assert all(math.isfinite(row[5]) for row in report.rows)
+    def test_all_ratios_finite(self, rows):
+        assert all(math.isfinite(row[5]) for row in rows)
 
-    def test_row_count(self, report):
-        assert len(report.rows) == 4 * 4 * 4  # q values x sizes x trials
+    def test_row_count(self, rows):
+        assert len(rows) == 4 * 4 * 4  # q values x sizes x trials
 
-    def test_growth_exponent_in_gain_window(self, report):
-        assert 0.6 <= report.growth_exponent <= 0.85
+    def test_rows_sorted(self, rows):
+        assert rows == sorted(rows)
 
-    def test_triangle_cells_bounded(self, report):
-        for (q, N), v in report.max_ratio_by_cell.items():
-            if q == 1.0:
-                assert v <= 1.0 + 1e-6
+    def test_growth_exponent_in_gain_window(self, tr4, grid4, tg16):
+        assert 0.6 <= eigenfunction_growth(tr4, tg16, grid4, SWEEP_SIZES) <= 0.85
+
+    def test_triangle_cells_bounded(self, rows):
+        for row in rows:
+            if row[2] == 1.0:
+                assert row[5] <= 1.0 + 1e-6
+
+    def test_rows_on_the_callers_time_grid(self, tr4, grid4):
+        # an odd grid, which no default builds: every row is the quotient of trial
+        # ``trial``'s system, seeded seed + 1000 N + trial, normed on this grid
+        tg = make_time_grid(7)
+        got = sweep(tr4, tg, grid4, (3,), trials=2, seed=5)
+        for n, p, q, N, trial, ratio, lhs, rhs in got:
+            dens = density(sample_orthonormal_system(tr4, N, seed=5 + 1000 * N + trial), np.ones(N), tr4, tg, grid4)
+            assert lhs == density_norm(dens, tg, grid4, p, q)
+            assert ratio == lhs / rhs
+            assert (n, p) == (1, admissible_exponents(1, q))
+
 
 class TestGrowthFit:
     def test_exact_power_law_recovered(self):
@@ -270,6 +284,25 @@ class TestValidation:
         with pytest.raises(ValueError, match="rows"):
             density(np.ones((3, 2), dtype=complex), np.ones(2), tr4, tg16, grid4)
 
-    def test_sizes_too_few_for_growth_fit(self, tr4, grid4):
-        with pytest.raises(ValueError, match="fewer than two"):
-            SweepConfig(truncation=tr4, grid=grid4, system_sizes=(1, 2))
+    def test_sizes_too_few_for_growth_fit(self, tr4, grid4, tg16, monkeypatch):
+        calls = count_densities(monkeypatch)
+        with pytest.raises(ValueError, match=r"system sizes \(1, 2\) have fewer than two sizes >= 2"):
+            eigenfunction_growth(tr4, tg16, grid4, (1, 2))
+        assert calls == []
+
+    @pytest.mark.parametrize("sizes, bad", [((0, 2, 4), 0), ((-1, 2, 4), -1), ((1, 26), 26)])
+    def test_sweep_sizes_outside_truncation(self, tr4, grid4, tg16, monkeypatch, sizes, bad):
+        # |tr4| = 25; unchecked, size 0 would divide 0.0 by 0.0 and size -1 fail inside numpy
+        assert len(tr4) == 25
+        calls = count_densities(monkeypatch)
+        with pytest.raises(ValueError, match=rf"system size {bad} outside \[1, 25\]"):
+            sweep(tr4, tg16, grid4, sizes, trials=1, seed=0)
+        assert calls == []
+
+
+def count_densities(monkeypatch):
+    """Record every call of ``strichartz.density`` made through the module."""
+    calls = []
+    real = strichartz.density
+    monkeypatch.setattr(strichartz, "density", lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+    return calls

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specherm import checks, twisted
+from specherm.basis import phi_k
 from specherm.grids import (
     Field,
     default_half_width,
@@ -13,8 +14,9 @@ from specherm.grids import (
     make_grid,
     make_time_grid,
     mixed_norm,
+    sample_field,
 )
-from specherm.indices import enumerate_pairs
+from specherm.indices import enumerate_pairs, multi_indices
 from specherm.propagator import ComplexTime, mehler_kernel_field
 from specherm.schatten import random_smoothed_weights
 from specherm.twisted import (
@@ -23,8 +25,6 @@ from specherm.twisted import (
     cached_basis,
     forward_transform,
     inverse_transform,
-    phi_k_field,
-    project_k,
     twisted_convolve,
 )
 
@@ -37,6 +37,25 @@ def position(tr, mu, nu):
 
 def mode(tr, grid, mu, nu):
     return Field(grid, cached_basis(tr, grid)[position(tr, mu, nu)])
+
+
+def phi_k_field(k, grid):
+    """Diagonal eigenspace sum phi_k sampled on the grid."""
+    return sample_field(grid, lambda *zs: phi_k(k, np.stack(zs, axis=-1), grid.n))
+
+
+def project_k(f, k):
+    """Projection onto the eigenspace of eigenvalue 2k + n: P_k f = (2 pi)^{-n} f x phi_k.
+
+    The twisted-convolution route, one convolution per composition of k, and
+    with it an oracle of the n >= 2 convolution against ``spectral_projection``.
+    """
+    n = f.grid.n
+    # phi_k = sum over k_1 + ... + k_n = k of phi_{k_1}(z_1) ... phi_{k_n}(z_n)
+    plane = make_grid(1, f.grid.L, f.grid.M)
+    nus = multi_indices(n, k)
+    parts = [twisted_convolve(f, tuple(phi_k_field(kj, plane) for kj in nu)).values for nu in nus[nus.sum(axis=1) == k]]
+    return Field(f.grid, (2.0 * math.pi) ** (-n) * sum(parts))
 
 
 def spectral_projection(f, k, tr):
