@@ -168,15 +168,16 @@ def singularity_cmd(**p):
     _discretization(p)  # unused here, but invalid common flags are rejected as everywhere
     ts = tuple(np.linspace(0.2, math.pi - 0.2, 9))
     cfg = default_config(-0.5, 1e-4, t_samples=ts)
-    prof = remainder_profile(cfg)
-    fine = remainder_profile(default_config(-0.5, 1e-5, t_samples=ts))
-    results = [checks.remainder_tau_stable(prof, fine), checks.kernel_rate_law(p["n"])]
-    payload = {"t": list(prof.t_samples), "remainder_abs": [float(a) for a in np.abs(prof.remainder)],
-               "sup_abs": prof.sup_abs}
+    times, abel, singular = remainder_profile(cfg)
+    _, fine_abel, fine_singular = remainder_profile(default_config(-0.5, 1e-5, t_samples=ts))
+    remainder = abel - singular
+    results = [checks.remainder_tau_stable(remainder, fine_abel - fine_singular), checks.kernel_rate_law(p["n"])]
+    payload = {"t": list(times), "remainder_abs": [float(a) for a in np.abs(remainder)],
+               "sup_abs": float(np.abs(remainder).max())}
     header = ["z_re", "z_im", "t", "tau", "abel_re", "abel_im", "singular_re", "singular_im", "remainder_abs"]
     rows = [
         (cfg.z.real, cfg.z.imag, t, cfg.tau, a.real, a.imag, s.real, s.imag, abs(r))
-        for t, a, s, r in zip(prof.t_samples, prof.abel, prof.singular, prof.remainder)
+        for t, a, s, r in zip(times, abel, singular, remainder)
     ]
     finish(results, p, payload, (header, rows))
 
@@ -192,19 +193,18 @@ def strichartz_sweep(trials, **p):
     except ValueError as exc:  # a truncation too small for the growth fit, a usage error as in _discretization
         raise click.UsageError(str(exc))
     rows = sweep(tr, tg, grid, sizes, trials, p["seed"])
-    max_ratio = max(row[5] for row in rows)
     results = [
-        checks.ratios_finite(max_ratio),
+        checks.ratios_finite(np.array([row[5] for row in rows])),
         checks.single_mode_closed_form(tr, tg, grid),
         checks.growth_exponent(growth),
     ]
     cell_max = {}
     for _, _, q, N, _, ratio, _, _ in rows:
-        cell_max[q, N] = max(cell_max.get((q, N), 0.0), ratio)
+        cell_max[q, N] = float(np.maximum(cell_max.get((q, N), 0.0), ratio))  # a NaN ratio stays NaN
     cells = {f"q={q},N={N}": v for (q, N), v in sorted(cell_max.items())}
     # sweep takes every p on the admissible line, so "off_line_cells" is always empty;
     # it stays in the payload because the stored reference outputs hold the key
-    payload = {"max_ratio": max_ratio, "growth_exponent": growth, "max_ratio_by_cell": cells,
+    payload = {"max_ratio": results[0].value, "growth_exponent": growth, "max_ratio_by_cell": cells,
                "off_line_cells": [], "n_rows": len(rows)}
     finish(results, p, payload, (["n", "p", "q", "N", "trial", "ratio", "lhs", "rhs"], rows))
 
@@ -216,10 +216,12 @@ def duality_cmd(trials, **p):
     tr, grid, tg = _discretization(p)
     weights = random_smoothed_weights(tg, grid, range(p["seed"], p["seed"] + trials))
     alpha = 4.0
-    rep = duality_check(tr, tg, grid, weights, alpha=alpha, density_exponents=(2.0, 2.0))
-    results = [checks.constants_finite(rep), checks.constants_comparable(rep)]
-    payload = {"alpha": alpha, "max_sandwich_ratio": rep.max_sandwich, "max_density_ratio": rep.max_density,
-               "factor": results[1].value, "skipped": rep.skipped}
+    sandwich, density, skipped = duality_check(tr, tg, grid, weights, alpha=alpha, density_exponents=(2.0, 2.0))
+    max_sandwich, max_density = float(sandwich.max()), float(density.max())
+    results = [checks.constants_finite(max_sandwich, max_density),
+               checks.constants_comparable(max_sandwich, max_density)]
+    payload = {"alpha": alpha, "max_sandwich_ratio": max_sandwich, "max_density_ratio": max_density,
+               "factor": results[1].value, "skipped": skipped}
     finish(results, p, payload)
 
 

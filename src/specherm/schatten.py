@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,15 +32,7 @@ _SV_CLAMP = 1e-10
 _MAX_MATRIX_ENTRIES = int(2e7)
 
 
-@dataclass
-class SchattenReport:
-    """Singular values and the Schatten r-norm of an operator."""
-
-    singular_values: np.ndarray
-    norm: float
-
-
-def schatten_from_singular_values(s: np.ndarray, r: float) -> SchattenReport:
+def schatten_from_singular_values(s: np.ndarray, r: float) -> float:
     """Schatten r-norm from singular values: r = 1 trace, r = 2 Hilbert-Schmidt, r = inf operator norm."""
     if not r >= 1:  # NaN fails the comparison
         raise ValueError("Schatten exponent must be in [1, inf]")
@@ -49,10 +40,8 @@ def schatten_from_singular_values(s: np.ndarray, r: float) -> SchattenReport:
     if s.size and s[0] > 0:
         s = np.where(s < _SV_CLAMP * s[0], 0.0, s)
     if math.isinf(r):
-        norm = float(s[0]) if s.size else 0.0
-    else:
-        norm = float(np.sum(s**r) ** (1.0 / r))
-    return SchattenReport(singular_values=s, norm=norm)
+        return float(s[0]) if s.size else 0.0
+    return float(np.sum(s**r) ** (1.0 / r))
 
 
 def g_z_weight(z: complex, nu, lam: int) -> complex:
@@ -127,7 +116,7 @@ def _t_z_factors(z, tr, tg, grid):
     return lams, weights
 
 
-def t_z_schatten(z: complex, tr: Truncation, tg: TimeGrid, grid: GridSpec, r: float) -> SchattenReport:
+def t_z_schatten(z: complex, tr: Truncation, tg: TimeGrid, grid: GridSpec, r: float) -> float:
     """Schatten norm of the multiplier family, read off the pairs x pairs basis Gram.
 
     The nodes are equispaced and n_t > 2 cut, so the Gram of the frame F of
@@ -183,7 +172,7 @@ def weighted_gram(w_samples: np.ndarray, tr: Truncation, tg: TimeGrid, grid: Gri
     return K
 
 
-def sandwich_schatten(w_samples: np.ndarray, tr: Truncation, tg: TimeGrid, grid: GridSpec, r: float) -> SchattenReport:
+def sandwich_schatten(w_samples: np.ndarray, tr: Truncation, tg: TimeGrid, grid: GridSpec, r: float) -> float:
     """Schatten r-norm of the sandwich W (A A*) conj(W) on the time-space samples.
 
     The conjugate in the second multiplier makes the sandwich positive
@@ -194,23 +183,6 @@ def sandwich_schatten(w_samples: np.ndarray, tr: Truncation, tg: TimeGrid, grid:
     return schatten_from_singular_values(np.linalg.eigvalsh(K), r)
 
 
-@dataclass
-class DualityReport:
-    """Empirical constants for the two sides of the sandwich/density duality."""
-
-    sandwich_ratios: np.ndarray
-    density_ratios: np.ndarray
-    skipped: int
-
-    @property
-    def max_sandwich(self) -> float:
-        return float(np.max(self.sandwich_ratios))
-
-    @property
-    def max_density(self) -> float:
-        return float(np.max(self.density_ratios))
-
-
 def duality_check(
     tr: Truncation,
     tg: TimeGrid,
@@ -218,8 +190,8 @@ def duality_check(
     weights: Iterable[np.ndarray],
     alpha: float,
     density_exponents: tuple[float, float],
-) -> DualityReport:
-    """Evaluate both duality-principle inequalities, one sample per weight.
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Both duality-principle ratios, one sample per weight: (sandwich_ratios, density_ratios, skipped).
 
     ``weights`` yields sampled multiplication weights on the time-space grid,
     each read once, in turn.  One eigendecomposition of K(W) gives both
@@ -245,7 +217,7 @@ def duality_check(
         if wn == 0.0:
             skipped += 1
         else:
-            sandwich_ratios.append(schatten_from_singular_values(evals, alpha).norm / wn**2)
+            sandwich_ratios.append(schatten_from_singular_values(evals, alpha) / wn**2)
         coeffs, nj = _system_from_eigh(evals, evecs, alpha)
         if not np.any(nj):
             skipped += 1
@@ -256,7 +228,7 @@ def duality_check(
         raise ValueError(
             f"duality check has no ratio on a side: every weight was degenerate ({skipped} sides skipped)"
         )
-    return DualityReport(np.array(sandwich_ratios), np.array(density_ratios), skipped)
+    return np.array(sandwich_ratios), np.array(density_ratios), skipped
 
 
 def random_smoothed_weights(tg: TimeGrid, grid: GridSpec, seeds: Iterable[int]) -> Iterator[np.ndarray]:

@@ -202,32 +202,12 @@ def singular_term(z: complex, t: float, tau: float = 0.0) -> complex:
     return gamma(z + 1) * s ** (-z - 1.0)
 
 
-@dataclass
-class RemainderProfile:
-    """Tabulated smooth-part estimates b(t) = abel_sum - singular_term."""
-
-    t_samples: np.ndarray
-    abel: np.ndarray
-    singular: np.ndarray
-    remainder: np.ndarray
-    sup_abs: float
-
-
-def remainder_profile(cfg: ProbeConfig) -> RemainderProfile:
-    """Estimate the smooth remainder and the sup of |b| over the configured time samples."""
+def remainder_profile(cfg: ProbeConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sorted sample times t with abel_sum and singular_term at each; their difference is the remainder b(t)."""
     ts = np.array(sorted(cfg.t_samples))
     if ts.size == 0:
         raise ValueError("no time samples configured")
-    abel = abel_sum(cfg, ts)
-    sing = np.array([singular_term(cfg.z, t, cfg.tau) for t in ts])
-    rem = abel - sing
-    return RemainderProfile(
-        t_samples=ts,
-        abel=abel,
-        singular=sing,
-        remainder=rem,
-        sup_abs=float(np.abs(rem).max()),
-    )
+    return ts, abel_sum(cfg, ts), np.array([singular_term(cfg.z, t, cfg.tau) for t in ts])
 
 
 def h_kernel(z: complex, u: complex, w: complex, t: float, tau: float, n: int = 1) -> complex:

@@ -35,10 +35,16 @@ def admissible_exponents(n: int, q: float) -> float:
     return q / (n * (q - 1.0))
 
 
+def _check_sizes(tr: Truncation, sizes, least: int = 0) -> None:
+    """Reject a system size outside [least, |tr|] with a ``ValueError`` that names it."""
+    for N in sizes:
+        if not least <= N <= len(tr):
+            raise ValueError(f"system size {N} outside [{least}, {len(tr)}] (the truncation dimension)")
+
+
 def sample_orthonormal_system(tr: Truncation, N: int, seed: int) -> np.ndarray:
     """Orthonormalized complex Gaussian columns, shape (|tr|, N); deterministic given the seed."""
-    if N > len(tr):
-        raise ValueError(f"system size {N} exceeds truncation dimension {len(tr)}")
+    _check_sizes(tr, (N,))
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((len(tr), N)) + 1j * rng.standard_normal((len(tr), N))
     # column k of Q is column k of g orthogonalized against the previous ones,
@@ -48,8 +54,7 @@ def sample_orthonormal_system(tr: Truncation, N: int, seed: int) -> np.ndarray:
 
 def eigenfunction_system(tr: Truncation, N: int) -> np.ndarray:
     """The first N basis pairs themselves, as coefficient unit vectors (columns)."""
-    if N > len(tr):
-        raise ValueError(f"system size {N} exceeds truncation dimension {len(tr)}")
+    _check_sizes(tr, (N,))
     return np.eye(len(tr), N, dtype=complex)
 
 
@@ -116,9 +121,7 @@ def sweep(tr: Truncation, tg: TimeGrid, grid: GridSpec, sizes, trials: int, seed
     its admissible p.  Trial ``trial`` of size N samples its system with the
     seed ``seed + 1000 N + trial`` and gives every function the weight 1.
     """
-    for N in sizes:
-        if not 1 <= N <= len(tr):
-            raise ValueError(f"system size {N} outside [1, {len(tr)}] (the truncation dimension)")
+    _check_sizes(tr, sizes, least=1)
     n = grid.n
     q_values = tuple(1.0 + j / (4 * n) for j in (0, 1, 2, 4))
     rows = []
@@ -146,6 +149,7 @@ def eigenfunction_growth(tr: Truncation, tg: TimeGrid, grid: GridSpec, sizes) ->
     fit_sizes = sorted(N for N in sizes if N >= 2)
     if len(fit_sizes) < 2:
         raise ValueError(f"system sizes {sizes} have fewer than two sizes >= 2 for the growth fit")
+    _check_sizes(tr, fit_sizes)
     lhs = [density_norm(density(eigenfunction_system(tr, N), np.ones(N), tr, tg, grid), tg, grid, 2.0, 2.0)
            for N in fit_sizes]
     return fit_growth_exponent(fit_sizes, lhs)

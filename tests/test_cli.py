@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from specherm import strichartz
 from specherm.cli import main
 from specherm.singularity import abel_sum, default_config
 
@@ -236,6 +237,24 @@ class TestCommands:
         cells = json.loads(paths["json"].read_text())["max_ratio_by_cell"]
         assert list(cells) == [f"q={q},N={N}" for q, N in sorted(want)]
         assert list(cells.values()) == [want[key] for key in sorted(want)]
+
+    def test_strichartz_sweep_nan_ratio_fails(self, runner, tmp_path, monkeypatch):
+        # the first (p, q) = (3, 1.5) norm is the sweep's third, of N = 1 trial 0: not the first
+        # row, which is a (2, 2) norm, so a maximum that skips a NaN would not see it
+        real, seen = strichartz.density_norm, []
+
+        def density_norm(dens, tg, grid, p, q, measure="dt"):
+            seen.append(q)
+            return math.nan if seen.count(1.5) == 1 and q == 1.5 else real(dens, tg, grid, p, q, measure)
+
+        monkeypatch.setattr(strichartz, "density_norm", density_norm)
+        out = tmp_path / "sweep.json"
+        result = runner.invoke(main, ["strichartz-sweep", "--trials", "2", "--grid-m", "24", "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert "[FAIL] ratios-finite (max nan)" in result.stdout
+        assert result.stderr.splitlines() == ["failed: ratios-finite"]
+        cells = json.loads(out.read_text())["max_ratio_by_cell"]
+        assert [key for key, value in cells.items() if math.isnan(value)] == ["q=1.5,N=1"]
 
     def test_strichartz_sweep_n2(self, runner, tmp_path):
         # the exponent grid q = 1 + j/(4n) stays inside [1, 1 + 1/n]; the n = 2 growth band is not set yet

@@ -299,6 +299,20 @@ class TestValidation:
             sweep(tr4, tg16, grid4, sizes, trials=1, seed=0)
         assert calls == []
 
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda tr: sample_orthonormal_system(tr, -1, seed=0), id="sampled"),
+        pytest.param(lambda tr: eigenfunction_system(tr, -1), id="eigenfunctions"),
+    ])
+    def test_negative_system_size_rejected(self, tr4, build):
+        with pytest.raises(ValueError, match=r"system size -1 outside \[0, 25\]"):
+            build(tr4)
+
+    def test_growth_fit_size_too_large_before_any_density(self, tr4, grid4, tg16, monkeypatch):
+        calls = count_densities(monkeypatch)
+        with pytest.raises(ValueError, match=r"system size 26 outside \[0, 25\]"):
+            eigenfunction_growth(tr4, tg16, grid4, (2, 4, 26))
+        assert calls == []
+
 
 def count_densities(monkeypatch):
     """Record every call of ``strichartz.density`` made through the module."""
