@@ -4,9 +4,12 @@ from itertools import product
 
 import numpy as np
 import pytest
+from quadrature_oracle import _sh1d_table, default_quad_order, hermite_1d
 from scipy import integrate
+from scipy.special import eval_genlaguerre, gammaln
 
-from specherm.basis import _sh1d_table, basis_matrix, default_quad_order, hermite_1d, phi_k, special_hermite
+from specherm import checks, twisted
+from specherm.basis import basis_matrix, laguerre_table, phi_k, special_hermite
 from specherm.grids import default_half_width, make_grid
 from specherm.indices import Truncation, enumerate_pairs, multi_indices
 
@@ -34,6 +37,21 @@ class TestHermite1d:
         for k in (0, 3, 8):
             val, _ = integrate.quad(lambda x: hermite_1d(k, x) ** 2, -15, 15)
             assert val == pytest.approx(1.0, abs=1e-10)
+
+
+class TestLaguerreTable:
+    def test_triangle_origin_and_scipy(self):
+        # T[a, j] = l_j^a(s) for a + j <= k_max and 0 elsewhere; l_j^0(0) = 1 and l_j^a(0) = 0 for a > 0
+        k_max, s = 5, np.array([0.0, 1.5, 9.0])
+        table = laguerre_table(k_max, s)
+        assert table.shape == (k_max + 1, k_max + 1, 3)
+        for a, j in product(range(k_max + 1), repeat=2):
+            if a + j > k_max:
+                assert not table[a, j].any()
+                continue
+            want = math.sqrt(math.factorial(j) / math.factorial(j + a)) * s ** (a / 2) * np.exp(-s / 2) * eval_genlaguerre(j, a, s)
+            assert table[a, j, 0] == (1.0 if a == 0 else 0.0)
+            assert np.abs(table[a, j] - want).max() <= 1e-14
 
 
 def _defining_integral_1d(mu, nu, zeta):
@@ -96,6 +114,28 @@ class TestBasisMatrix:
         assert got.shape == (len(tr),) + grid.shape
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
+    @pytest.mark.parametrize("k_max", [32, 48])
+    def test_high_degree_against_scipy_laguerre(self, k_max):
+        # Phi_{mu nu} = (2 pi)^{-1/2} i^{|mu-nu|} e^{-i(mu-nu) theta} l^{|mu-nu|}_{min(mu,nu)}(|zeta|^2/2),
+        # with scipy's generalized Laguerre polynomial and log-gamma normalization
+        tr = enumerate_pairs(1, k_max)
+        grid = make_grid(1, default_half_width(1, k_max), 10)
+        (z,) = grid.zeta_coords()
+        s = np.abs(z) ** 2 / 2
+        mu, nu = tr.mu[:, :1, None], tr.nu[:, :1, None]
+        a, j = np.abs(mu - nu), np.minimum(mu, nu)
+        norm = np.exp(0.5 * (gammaln(j + 1) - gammaln(j + a + 1)) - s / 2) * s ** (a / 2)
+        i_power = np.array([1j**e for e in a.ravel()]).reshape(a.shape)
+        want = (2 * math.pi) ** -0.5 * i_power * np.exp(-1j * (mu - nu) * np.angle(z)) * norm * eval_genlaguerre(j, a, s)
+        assert np.abs(basis_matrix(tr, grid) - want).max() <= 1e-12
+
+    def test_gram_identity_at_kmax_24(self):
+        # the Gauss-Hermite basis this replaced read 2.4e-06 here, above the check's 1e-6
+        tr, grid = enumerate_pairs(1, 24), make_grid(1, default_half_width(1, 24), 106)
+        result = checks.gram_identity(tr, grid)
+        twisted._BASIS_CACHE.pop((tr, grid))  # 112 MB; no other test reads it
+        assert result.passed, result.detail
+
     def test_n3_rows_are_outer_products_of_n1_rows(self):
         # the first n at which the per-coordinate broadcast runs twice; a
         # pointwise special_hermite reference at n = 3 is too slow here
@@ -117,6 +157,17 @@ class TestPhiK:
     def test_ground_level_gaussian(self):
         z = 1.2 - 0.7j
         assert phi_k(0, z, 1) == pytest.approx(math.exp(-abs(z) ** 2 / 4), rel=1e-10)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_laguerre_addition_formula(self, n):
+        # phi_k(z) = L_k^{(n-1)}(|z|^2/2) e^{-|z|^2/4} at the origin and at 12 points with coordinates in [-3, 3]
+        rng = np.random.default_rng(7)
+        z = np.concatenate([np.zeros((1, n)), rng.uniform(-3, 3, (12, n)) + 1j * rng.uniform(-3, 3, (12, n))])
+        r2 = (np.abs(z) ** 2).sum(axis=1)
+        for k in range(7):
+            want = eval_genlaguerre(k, n - 1, r2 / 2) * np.exp(-r2 / 4)
+            got = phi_k(k, z if n > 1 else z[:, 0], n)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_matches_term_by_term_sum(self):
         # k = 2, n = 2: the three nu with |nu| = 2 summed explicitly
