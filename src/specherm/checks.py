@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Field, GridSpec, TimeGrid, lp_norm
+from .grids import Field, GridSpec, lp_norm
 from .indices import Truncation
 from .propagator import ComplexTime, evolve_kernel, evolve_spectral, mehler_kernel, propagate_coeffs
 from .schatten import random_smoothed_weights, sandwich_schatten
@@ -94,13 +94,13 @@ def kernel_rate_law(n: int) -> Check:
     return Check("kernel-rate-law", worst, worst <= 0.1, f"max slope err {worst:.3f}")
 
 
-def schatten_ratios(tr: Truncation, tg: TimeGrid, grid: GridSpec, seeds) -> np.ndarray:
+def schatten_ratios(tr: Truncation, n_t: int, grid: GridSpec, seeds) -> np.ndarray:
     """Schatten-4 norm of the sandwich over ||W||^2 in L^4_t L^4_z, one per random weight.
 
     ``random_smoothed_weights`` normalizes each W to ||W|| = 1 in L^4_t L^4_z
     (measure dt/2pi), so the ratio is the Schatten norm itself.
     """
-    return np.array([sandwich_schatten(W, tr, tg, grid, 4.0) for W in random_smoothed_weights(tg, grid, seeds)])
+    return np.array([sandwich_schatten(W, tr, grid, 4.0) for W in random_smoothed_weights(n_t, grid, seeds)])
 
 
 def max_over_median(ratios: np.ndarray) -> Check:
@@ -120,7 +120,7 @@ def ratios_finite(ratios: np.ndarray) -> Check:
     return Check("ratios-finite", worst, bool(np.all(np.isfinite(ratios))), f"max {worst:.4f}")
 
 
-def single_mode_closed_form(tr: Truncation, tg: TimeGrid, grid: GridSpec) -> Check:
+def single_mode_closed_form(tr: Truncation, n_t: int, grid: GridSpec) -> Check:
     """Error of the (2, 2) quotient of the first mode alone.
 
     The density of Phi_00 is (2 pi)^{-n} e^{-|z|^2/2} at every t, so the exact
@@ -128,7 +128,7 @@ def single_mode_closed_form(tr: Truncation, tg: TimeGrid, grid: GridSpec) -> Che
     dual norm 1, so the quotient is the density's L^2_t L^2_z norm; (2, 2) is
     chosen for this closed form and is off the admissible line at n >= 2.
     """
-    r0 = density_norm(density(eigenfunction_system(tr, 1), [1.0], tr, tg, grid), tg, grid, 2.0, 2.0)
+    r0 = density_norm(density(eigenfunction_system(tr, 1), [1.0], tr, n_t, grid), grid, 2.0, 2.0)
     n = grid.n
     err = abs(r0 - 2 ** (0.5 - n) * math.pi ** ((1 - n) / 2))
     return Check("single-mode-closed-form", err, err <= 1e-3, f"ratio {r0:.6f}")

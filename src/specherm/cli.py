@@ -17,7 +17,7 @@ import click
 import numpy as np
 
 from . import __version__, checks
-from .grids import default_half_width, make_grid, make_time_grid
+from .grids import default_half_width, make_grid
 from .indices import enumerate_pairs
 from .propagator import ComplexTime
 from .schatten import duality_check, random_smoothed_weights
@@ -32,7 +32,8 @@ def _common_options(kmax: int = 4) -> list[click.Option]:
         click.Option(["--kmax"], type=int, default=kmax, help="degree cap of the truncation"),
         click.Option(["--grid-m"], type=int, default=48, help="grid points per axis"),
         click.Option(["--grid-l"], type=float, default=None, help="grid half-width (default: auto)"),
-        click.Option(["--nt"], type=int, default=16, help="time nodes on the circle"),
+        click.Option(["--nt"], type=click.IntRange(min=1), default=16,
+                     help="time nodes on the circle"),
         click.Option(["--seed"], type=click.IntRange(min=0), default=0, help="base random seed"),
         click.Option(["--out"], type=click.Path(dir_okay=False), callback=_check_out, help="write results to this path"),
         click.Option(["--format", "fmt"], type=click.Choice(["csv", "json"]), default="json", help="output format"),
@@ -102,7 +103,7 @@ def finish(results: list, p: dict, payload: dict, table: tuple | None = None):
 
 
 def _discretization(p):
-    """Truncation, spatial grid and time grid of the resolved flags.
+    """Truncation and spatial grid of the resolved flags.
 
     Values the constructors reject (say an odd --grid-m, from a flag or a
     config file) are usage errors, not failed checks.
@@ -110,7 +111,7 @@ def _discretization(p):
     try:
         tr = enumerate_pairs(p["n"], p["kmax"])
         L = p["grid_l"] if p["grid_l"] is not None else default_half_width(p["n"], p["kmax"])
-        return tr, make_grid(p["n"], L, p["grid_m"]), make_time_grid(p["nt"])
+        return tr, make_grid(p["n"], L, p["grid_m"])
     except ValueError as exc:
         raise click.UsageError(str(exc))
 
@@ -124,7 +125,7 @@ def main():
 @main.command("verify-basis", params=_common_options())
 def verify_basis(**p):
     """Orthonormality and eigenrelation of the truncated eigenbasis."""
-    tr, grid, _ = _discretization(p)
+    tr, grid = _discretization(p)
     try:
         results = [checks.gram_identity(tr, grid), checks.eigenrelation(tr, grid)]
     except ValueError as exc:  # a grid too coarse for the Laplacian, a usage error as in _discretization
@@ -135,7 +136,7 @@ def verify_basis(**p):
 @main.command("verify-kernel", params=_common_options())
 def verify_kernel(**p):
     """Closed-form kernel against the diagonal spectral propagator."""
-    tr, grid, _ = _discretization(p)
+    tr, grid = _discretization(p)
     rng = np.random.default_rng(p["seed"])
     c = rng.standard_normal(len(tr)) + 1j * rng.standard_normal(len(tr))
     results = [
@@ -151,8 +152,8 @@ def verify_kernel(**p):
 @click.option("--trials", type=click.IntRange(min=1), default=20, help="number of random weights")
 def schatten_bound(trials, **p):
     """Schatten-4 bound for sandwiched projections over random weights."""
-    tr, grid, tg = _discretization(p)
-    arr = checks.schatten_ratios(tr, tg, grid, range(p["seed"], p["seed"] + trials))
+    tr, grid = _discretization(p)
+    arr = checks.schatten_ratios(tr, p["nt"], grid, range(p["seed"], p["seed"] + trials))
     results = [
         checks.weight_ratios_finite(arr),
         checks.max_over_median(arr),
@@ -186,16 +187,16 @@ def singularity_cmd(**p):
 @click.option("--trials", type=click.IntRange(min=1), default=20, help="random systems per size")
 def strichartz_sweep(trials, **p):
     """Mixed-norm quotient sweep over exponents, sizes, and random systems."""
-    tr, grid, tg = _discretization(p)
+    tr, grid = _discretization(p)
     sizes = tuple(N for N in (1, 2, 4, 8, 16) if N <= len(tr))
     try:
-        growth = eigenfunction_growth(tr, tg, grid, sizes)
+        growth = eigenfunction_growth(tr, p["nt"], grid, sizes)
     except ValueError as exc:  # a truncation too small for the growth fit, a usage error as in _discretization
         raise click.UsageError(str(exc))
-    rows = sweep(tr, tg, grid, sizes, trials, p["seed"])
+    rows = sweep(tr, p["nt"], grid, sizes, trials, p["seed"])
     results = [
         checks.ratios_finite(np.array([row[5] for row in rows])),
-        checks.single_mode_closed_form(tr, tg, grid),
+        checks.single_mode_closed_form(tr, p["nt"], grid),
         checks.growth_exponent(growth),
     ]
     cell_max = {}
@@ -213,10 +214,10 @@ def strichartz_sweep(trials, **p):
 @click.option("--trials", type=click.IntRange(min=1), default=20, help="number of paired samples")
 def duality_cmd(trials, **p):
     """Both sides of the sandwich/density duality on paired samples."""
-    tr, grid, tg = _discretization(p)
-    weights = random_smoothed_weights(tg, grid, range(p["seed"], p["seed"] + trials))
+    tr, grid = _discretization(p)
+    weights = random_smoothed_weights(p["nt"], grid, range(p["seed"], p["seed"] + trials))
     alpha = 4.0
-    sandwich, density, skipped = duality_check(tr, tg, grid, weights, alpha=alpha, density_exponents=(2.0, 2.0))
+    sandwich, density, skipped = duality_check(tr, grid, weights, alpha=alpha, density_exponents=(2.0, 2.0))
     max_sandwich, max_density = float(sandwich.max()), float(density.max())
     results = [checks.constants_finite(max_sandwich, max_density),
                checks.constants_comparable(max_sandwich, max_density)]

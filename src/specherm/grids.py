@@ -89,11 +89,14 @@ def make_grid(n: int, L: float, M: int) -> GridSpec:
 
 
 def default_half_width(n: int, k_max: int) -> float:
-    """Covers the classical turning point of the highest mode plus tail margin.
+    """sqrt(2(2 k_max + n)) + 6, which does not cover the highest modes' tails at large k_max.
 
-    The margin of 6 keeps the polynomial-enhanced Gaussian tail of the
-    highest modes below ~1e-8 at the boundary, which Gram and eigenrelation
-    accuracies at desk-scale M depend on.
+    The outermost n = 1 mode (mu = nu = k_max) turns at |zeta| = 2 sqrt(2 k_max + 1),
+    sqrt(2) farther out than the first term, so the margin past it is 4.2 at
+    k_max 4 and 1.3 at k_max 32 (where |Phi| is 1.3e-3 on the grid edge and the
+    Gram error 4.7e-6 at M 128), and past k_max 51 the turning point lies outside
+    [-L, L].  Every default output depends on this formula; the discretization
+    rule of ROADMAP item 6 is where it changes.
     """
     return math.sqrt(2.0 * (2 * k_max + n)) + 6.0
 
@@ -130,34 +133,15 @@ def lp_norm(f: Field, p: float) -> float:
     return float(np.sum(a**p * f.grid.weight_tensor) ** (1.0 / p))
 
 
-@dataclass(frozen=True)
-class TimeGrid:
-    """Uniform nodes on [-pi, pi), offset by half a spacing from the endpoints."""
-
-    n_t: int
-
-    def __post_init__(self):
-        if self.n_t < 1:
-            raise ValueError("need at least one time node")
-
-    @cached_property
-    def nodes(self) -> np.ndarray:
-        h = 2.0 * math.pi / self.n_t
-        return _read_only(-math.pi + (np.arange(self.n_t) + 0.5) * h)
-
-    @property
-    def weight(self) -> float:
-        return 2.0 * math.pi / self.n_t
+def time_nodes(n_t: int) -> np.ndarray:
+    """n_t uniform nodes on [-pi, pi), offset by half a spacing from the endpoints."""
+    if n_t < 1:
+        raise ValueError("need at least one time node")
+    return -math.pi + (np.arange(n_t) + 0.5) * (2.0 * math.pi / n_t)
 
 
-def make_time_grid(n_t: int) -> TimeGrid:
-    return TimeGrid(n_t=int(n_t))
-
-
-def mixed_norm(
-    values: np.ndarray, tg: TimeGrid, grid: GridSpec, p: float, q: float, measure: str = "dt"
-) -> float:
-    """Space-time norm L^p_t L^q_z of time-indexed samples of shape (n_t, *grid.shape).
+def mixed_norm(values: np.ndarray, grid: GridSpec, p: float, q: float, measure: str = "dt") -> float:
+    """Space-time norm L^p_t L^q_z of samples of shape (n_t, *grid.shape) at the n_t ``time_nodes``.
 
     ``measure`` is the measure on the time circle: the raw ``"dt"`` or the
     normalized ``"dt/2pi"``, under which the circle has unit mass.  p and q
@@ -165,15 +149,16 @@ def mixed_norm(
     large-exponent limits so golden values are bit-stable.
     """
     values = np.ascontiguousarray(values)  # one memory layout, one summation order: bit-stable norms
-    if values.shape != (tg.n_t,) + grid.shape:
-        raise ValueError(f"shape {values.shape} inconsistent with time/space grids")
+    if values.shape[1:] != grid.shape or not len(values):
+        raise ValueError(f"shape {values.shape} is not (n_t >= 1, *{grid.shape})")
     if not p >= 1 or not q >= 1:  # NaN fails the comparison
         raise ValueError("exponents must be in [1, inf]")
     if measure not in ("dt", "dt/2pi"):
         raise ValueError(f"unknown time measure {measure!r}")
     if not np.all(np.isfinite(values)):
         raise ValueError("field values must be finite")
-    a = np.abs(values).reshape(tg.n_t, -1)
+    n_t = len(values)
+    a = np.abs(values).reshape(n_t, -1)
     w = grid.weight_tensor.ravel()
     if math.isinf(q):
         spatial = a.max(axis=1)
@@ -181,7 +166,9 @@ def mixed_norm(
         spatial = a @ w
     else:
         spatial = (a**q @ w) ** (1.0 / q)
-    tw = tg.weight if measure == "dt" else tg.weight / (2.0 * math.pi)
+    tw = 2.0 * math.pi / n_t
+    if measure == "dt/2pi":
+        tw /= 2.0 * math.pi
     if math.isinf(p):
         return float(spatial.max())
     if p == 1:

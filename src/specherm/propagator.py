@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Field, GridSpec, TimeGrid, make_grid, sample_field
+from .grids import Field, GridSpec, make_grid, sample_field, time_nodes
 from .indices import Truncation
 from .twisted import cached_basis, coefficient_vector, twisted_convolve
 
@@ -131,18 +131,19 @@ def synthesize(levels: np.ndarray, parts: np.ndarray, nodes: np.ndarray, out: np
     return np.matmul(np.exp(-1j * np.outer(nodes, levels)), parts, out=out)
 
 
-def propagate_samples(coeffs, tr: Truncation, tg: TimeGrid, grid: GridSpec) -> np.ndarray:
-    """Samples of e^{-i t L} u on the time-space grid.
+def propagate_samples(coeffs, tr: Truncation, n_t: int, grid: GridSpec) -> np.ndarray:
+    """Samples of e^{-i t L} u at the n_t ``time_nodes`` on the spatial grid.
 
     ``coeffs`` holds the coefficients of u over ``tr``; a matrix with one
     column per function gives a trailing function axis.  Returns shape
     (n_t, *grid.shape) or (n_t, *grid.shape, N).  On an even grid only the
     first half of the nodes is synthesized; the second is (-1)^n times it.
     """
+    half = _half_period_nodes(n_t)
+    half_nodes = time_nodes(n_t)[:half]
     c = np.asarray(coeffs, dtype=complex)
     levels, parts = level_parts(c, tr, grid)
-    half = _half_period_nodes(tg.n_t)
-    vals = np.empty((tg.n_t, parts.shape[1]), dtype=complex)
-    synthesize(levels, parts, tg.nodes[:half], out=vals[:half])
+    vals = np.empty((n_t, parts.shape[1]), dtype=complex)
+    synthesize(levels, parts, half_nodes, out=vals[:half])
     np.multiply(vals[:half], (-1) ** grid.n, out=vals.reshape(-1, half, parts.shape[1])[1:])
-    return vals.reshape((tg.n_t,) + grid.shape + c.shape[1:])
+    return vals.reshape((n_t,) + grid.shape + c.shape[1:])

@@ -18,7 +18,7 @@ from collections.abc import Iterable, Iterator
 
 import numpy as np
 
-from .grids import GridSpec, TimeGrid, make_grid, mixed_norm
+from .grids import GridSpec, make_grid, mixed_norm, time_nodes
 from .indices import Truncation
 from .propagator import ComplexTime, _half_period_nodes, mehler_kernel_field, propagate_samples
 from .singularity import gamma
@@ -70,21 +70,21 @@ def default_lambda_cut(tr: Truncation) -> int:
     return 2 * tr.k_max + tr.n + 8
 
 
-def _sqrt_weights(tg: TimeGrid, grid: GridSpec) -> np.ndarray:
+def _sqrt_weights(n_t: int, grid: GridSpec) -> np.ndarray:
     """sqrt(w_t w_z) of the weighted sample basis, shape (n_t, n_space)."""
-    return np.sqrt(np.outer(np.full(tg.n_t, 1.0 / tg.n_t), grid.weight_tensor.ravel()))
+    return np.sqrt(np.outer(np.full(n_t, 1.0 / n_t), grid.weight_tensor.ravel()))
 
 
-def _dense_rows(tg: TimeGrid, grid: GridSpec) -> int:
+def _dense_rows(n_t: int, grid: GridSpec) -> int:
     """Row count n_t * M^{2n} of a dense time x space operator, refused above _MAX_MATRIX_ENTRIES entries."""
-    rows = tg.n_t * grid.size
+    rows = n_t * grid.size
     if rows * rows > _MAX_MATRIX_ENTRIES:
         raise ValueError(f"dense operator would hold {rows * rows} entries (limit {_MAX_MATRIX_ENTRIES})")
     return rows
 
 
-def build_t_z(z: complex, tr: Truncation, tg: TimeGrid, grid: GridSpec) -> np.ndarray:
-    """Matrix of the Fourier-side multiplier family on time x space samples.
+def build_t_z(z: complex, tr: Truncation, n_t: int, grid: GridSpec) -> np.ndarray:
+    """Matrix of the Fourier-side multiplier family on the samples at the n_t ``time_nodes`` x space.
 
     T_z = F diag(g) F^H with F the lambda-grid frame, columns
     Phi_{mu nu}(z) e^{-i lambda t} sqrt(w_t w_z).  At z = -1 the weight
@@ -92,18 +92,18 @@ def build_t_z(z: complex, tr: Truncation, tg: TimeGrid, grid: GridSpec) -> np.nd
     over surface triples only, which reproduces the composition of the
     extension operator with its adjoint exactly.
     """
-    rows = _dense_rows(tg, grid)
-    lams, weights = _t_z_factors(z, tr, tg, grid)
+    rows = _dense_rows(n_t, grid)
+    lams, weights = _t_z_factors(z, tr, n_t)
     basis = cached_basis(tr, grid).reshape(len(tr), -1)
-    phases = np.exp(-1j * np.outer(tg.nodes, lams))  # (n_t, n_lam)
-    frame = np.einsum("al,pz,az->azpl", phases, basis, _sqrt_weights(tg, grid)).reshape(rows, -1)
+    phases = np.exp(-1j * np.outer(time_nodes(n_t), lams))  # (n_t, n_lam)
+    frame = np.einsum("al,pz,az->azpl", phases, basis, _sqrt_weights(n_t, grid)).reshape(rows, -1)
     return (frame * weights.ravel()) @ frame.conj().T
 
 
-def _t_z_factors(z, tr, tg, grid):
+def _t_z_factors(z, tr, n_t):
     """Frequencies lambda_l and the weights g[p, l] of the frame columns (pair p, frequency lambda_l)."""
     cut = default_lambda_cut(tr)
-    if tg.n_t <= 2 * cut:
+    if n_t <= 2 * cut:
         raise ValueError(f"need more than {2 * cut} time nodes for frequency range +-{cut}")
     if complex(z) == -1.0 + 0.0j:
         lams = tr.level_blocks[0]
@@ -116,7 +116,7 @@ def _t_z_factors(z, tr, tg, grid):
     return lams, weights
 
 
-def t_z_schatten(z: complex, tr: Truncation, tg: TimeGrid, grid: GridSpec, r: float) -> float:
+def t_z_schatten(z: complex, tr: Truncation, n_t: int, grid: GridSpec, r: float) -> float:
     """Schatten norm of the multiplier family, read off the pairs x pairs basis Gram.
 
     The nodes are equispaced and n_t > 2 cut, so the Gram of the frame F of
@@ -126,7 +126,7 @@ def t_z_schatten(z: complex, tr: Truncation, tg: TimeGrid, grid: GridSpec, r: fl
     per frequency lambda_l.  R comes from ``eigh`` with the eigenvalues
     clamped at 0, so a rank-deficient Gram on a coarse grid is allowed.
     """
-    _, weights = _t_z_factors(z, tr, tg, grid)
+    _, weights = _t_z_factors(z, tr, n_t)
     basis = cached_basis(tr, grid).reshape(len(tr), -1)
     evals, evecs = np.linalg.eigh((basis.conj() * grid.weight_tensor.ravel()) @ basis.T)
     R = np.sqrt(np.maximum(evals, 0.0))[:, None] * evecs.conj().T
@@ -135,18 +135,18 @@ def t_z_schatten(z: complex, tr: Truncation, tg: TimeGrid, grid: GridSpec, r: fl
     return schatten_from_singular_values(s, r)
 
 
-def extension_gram_matrix(tr: Truncation, tg: TimeGrid, grid: GridSpec) -> np.ndarray:
-    """E_S E_S* as F F^H, F the sqrt(w_t w_z)-weighted synthesis of every basis pair."""
-    rows = _dense_rows(tg, grid)
-    F = propagate_samples(np.eye(len(tr)), tr, tg, grid).reshape(rows, len(tr))
-    F *= _sqrt_weights(tg, grid).reshape(rows, 1)
+def extension_gram_matrix(tr: Truncation, n_t: int, grid: GridSpec) -> np.ndarray:
+    """E_S E_S* as F F^H, F the sqrt(w_t w_z)-weighted synthesis of every basis pair at the n_t ``time_nodes``."""
+    rows = _dense_rows(n_t, grid)
+    F = propagate_samples(np.eye(len(tr)), tr, n_t, grid).reshape(rows, len(tr))
+    F *= _sqrt_weights(n_t, grid).reshape(rows, 1)
     return F @ F.conj().T
 
 
-def weighted_gram(w_samples: np.ndarray, tr: Truncation, tg: TimeGrid, grid: GridSpec) -> np.ndarray:
+def weighted_gram(w_samples: np.ndarray, tr: Truncation, grid: GridSpec) -> np.ndarray:
     """K(W) = A* |W|^2 A, the pairs x pairs Gram of the propagation frame weighted by |W|^2.
 
-    ``w_samples`` has shape (n_t, *grid.shape).  The time sum is taken
+    ``w_samples`` has shape (n_t, *grid.shape), W at the n_t ``time_nodes``.  The time sum is taken
     first: with c_d = sum_a e^{i t_a d} w_z |W_a|^2 / n_t, one row per
     eigenvalue difference d, entry (p, q) is sum_z conj(B_p) c_{lambda_p - lambda_q} B_q.
     The block row of the eigenspace lambda_i is therefore
@@ -156,36 +156,35 @@ def weighted_gram(w_samples: np.ndarray, tr: Truncation, tg: TimeGrid, grid: Gri
     weights |W_a|^2 and |W_{a + n_t/2}|^2 are summed before the phases multiply them.
     """
     w = np.asarray(w_samples)
-    if w.shape != (tg.n_t,) + grid.shape:
-        raise ValueError("weight samples inconsistent with the time and space grids")
+    if w.shape[1:] != grid.shape or not len(w):
+        raise ValueError(f"weight samples of shape {w.shape} are not (n_t >= 1, *{grid.shape})")
     basis = cached_basis(tr, grid).reshape(len(tr), -1)
     lam = tr.eigenvalues()
     levels, blocks = tr.level_blocks
     diffs, index = np.unique(levels[:, None] - lam, return_inverse=True)
     index = index.reshape(len(levels), len(lam))
-    half = _half_period_nodes(tg.n_t)
-    w2 = (np.abs(w.reshape(-1, half, grid.size)) ** 2).sum(axis=0) * (grid.weight_tensor.ravel() / tg.n_t)
-    c = np.exp(1j * np.outer(diffs, tg.nodes[:half])) @ w2  # (n_diffs, n_space)
+    half = _half_period_nodes(len(w))
+    w2 = (np.abs(w.reshape(-1, half, grid.size)) ** 2).sum(axis=0) * (grid.weight_tensor.ravel() / len(w))
+    c = np.exp(1j * np.outer(diffs, time_nodes(len(w))[:half])) @ w2  # (n_diffs, n_space)
     K = np.empty((len(tr), len(tr)), dtype=complex)
     for block, row in zip(blocks, index):
         K[block] = basis[block].conj() @ (basis * c[row]).T
     return K
 
 
-def sandwich_schatten(w_samples: np.ndarray, tr: Truncation, tg: TimeGrid, grid: GridSpec, r: float) -> float:
+def sandwich_schatten(w_samples: np.ndarray, tr: Truncation, grid: GridSpec, r: float) -> float:
     """Schatten r-norm of the sandwich W (A A*) conj(W) on the time-space samples.
 
     The conjugate in the second multiplier makes the sandwich positive
     semidefinite; its nonzero eigenvalues, hence its singular values, are
     those of K(W) = A* |W|^2 A.
     """
-    K = weighted_gram(w_samples, tr, tg, grid)
+    K = weighted_gram(w_samples, tr, grid)
     return schatten_from_singular_values(np.linalg.eigvalsh(K), r)
 
 
 def duality_check(
     tr: Truncation,
-    tg: TimeGrid,
     grid: GridSpec,
     weights: Iterable[np.ndarray],
     alpha: float,
@@ -193,7 +192,7 @@ def duality_check(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Both duality-principle ratios, one sample per weight: (sandwich_ratios, density_ratios, skipped).
 
-    ``weights`` yields sampled multiplication weights on the time-space grid,
+    ``weights`` yields sampled multiplication weights of shape (n_t, *grid.shape),
     each read once, in turn.  One eigendecomposition of K(W) gives both
     sides: the Schatten-alpha norm of the sandwich, compared with the squared
     mixed norm of W, and the matched system of ``matched_system``, whose density sum
@@ -212,8 +211,8 @@ def duality_check(
     density_ratios = []
     skipped = 0
     for w in weights:
-        evals, evecs = np.linalg.eigh(weighted_gram(w, tr, tg, grid))
-        wn = mixed_norm(w, tg, grid, *weight_exponents, measure="dt/2pi")
+        evals, evecs = np.linalg.eigh(weighted_gram(w, tr, grid))
+        wn = mixed_norm(w, grid, *weight_exponents, measure="dt/2pi")
         if wn == 0.0:
             skipped += 1
         else:
@@ -222,7 +221,7 @@ def duality_check(
         if not np.any(nj):
             skipped += 1
             continue
-        dn = density_norm(density(coeffs, nj, tr, tg, grid), tg, grid, *density_exponents, measure="dt/2pi")
+        dn = density_norm(density(coeffs, nj, tr, len(w), grid), grid, *density_exponents, measure="dt/2pi")
         density_ratios.append(dn / float(np.linalg.norm(nj, ord=alpha_dual)))
     if not sandwich_ratios or not density_ratios:
         raise ValueError(
@@ -231,8 +230,8 @@ def duality_check(
     return np.array(sandwich_ratios), np.array(density_ratios), skipped
 
 
-def random_smoothed_weights(tg: TimeGrid, grid: GridSpec, seeds: Iterable[int]) -> Iterator[np.ndarray]:
-    """Generic integrable weights, one per seed: complex white noise mollified by e^{-0.2 L}.
+def random_smoothed_weights(n_t: int, grid: GridSpec, seeds: Iterable[int]) -> Iterator[np.ndarray]:
+    """Generic integrable weights at the n_t ``time_nodes``, one per seed: complex white noise mollified by e^{-0.2 L}.
 
     Each time slice of a complex Gaussian sample field (from
     ``default_rng(seed)``, the real parts drawn before the imaginary parts) is
@@ -243,23 +242,23 @@ def random_smoothed_weights(tg: TimeGrid, grid: GridSpec, seeds: Iterable[int]) 
     """
     kernel = mehler_kernel_field(ComplexTime(0.2, 0.0), make_grid(1, grid.L, grid.M))
     smoothing = TwistedConvolver((kernel,) * grid.n)
-    raw = np.empty((tg.n_t,) + grid.shape, dtype=complex)
+    raw = np.empty((n_t,) + grid.shape, dtype=complex)
     for seed in seeds:
         rng = np.random.default_rng(seed)
         raw.real = rng.standard_normal(raw.shape)
         raw.imag = rng.standard_normal(raw.shape)
         smooth = smoothing.apply(raw)
-        smooth /= mixed_norm(smooth, tg, grid, 4.0, 4.0, measure="dt/2pi")
+        smooth /= mixed_norm(smooth, grid, 4.0, 4.0, measure="dt/2pi")
         yield smooth
 
 
-def matched_system(tr: Truncation, tg: TimeGrid, grid: GridSpec, w_samples: np.ndarray, alpha: float):
+def matched_system(tr: Truncation, grid: GridSpec, w_samples: np.ndarray, alpha: float):
     """System adapted to a weight: eigenvectors of K(W) = A* |W|^2 A with the dual-optimal n_j.
 
     Pairing the density against |W|^2 then saturates the Schatten bound, so
     the two duality constants can be compared without a search.
     """
-    evals, evecs = np.linalg.eigh(weighted_gram(w_samples, tr, tg, grid))
+    evals, evecs = np.linalg.eigh(weighted_gram(w_samples, tr, grid))
     return _system_from_eigh(evals, evecs, alpha)
 
 

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .grids import GridSpec, TimeGrid, mixed_norm
+from .grids import GridSpec, mixed_norm, time_nodes
 from .indices import Truncation
 from .propagator import _half_period_nodes, level_parts, synthesize
 
@@ -58,8 +58,8 @@ def eigenfunction_system(tr: Truncation, N: int) -> np.ndarray:
     return np.eye(len(tr), N, dtype=complex)
 
 
-def density(coeffs: np.ndarray, nj: np.ndarray, tr: Truncation, tg: TimeGrid, grid: GridSpec) -> np.ndarray:
-    """Pointwise density sum_j n_j |e^{-i t L} u_j|^2, shape (n_t, *grid.shape).
+def density(coeffs: np.ndarray, nj: np.ndarray, tr: Truncation, n_t: int, grid: GridSpec) -> np.ndarray:
+    """Pointwise density sum_j n_j |e^{-i t L} u_j|^2 at the n_t ``time_nodes``, shape (n_t, *grid.shape).
 
     ``coeffs`` holds the system's coefficient vectors u_j over ``tr`` as its
     N columns and ``nj`` the N real weights.  Synthesized from the level parts
@@ -75,32 +75,30 @@ def density(coeffs: np.ndarray, nj: np.ndarray, tr: Truncation, tg: TimeGrid, gr
         raise ValueError("weight vector length differs from system size")
     if not np.all(np.isfinite(weights)):
         raise ValueError("weights must be finite")
+    half = _half_period_nodes(n_t)
+    half_nodes = time_nodes(n_t)[:half]
     levels, parts = level_parts(coeffs, tr, grid)
-    half = _half_period_nodes(tg.n_t)
     step = max(1, _CHUNK_ENTRIES // max(1, parts.shape[1]))
     buf = np.empty((min(step, half), parts.shape[1]), dtype=complex)
-    out = np.empty((tg.n_t, grid.size))
+    out = np.empty((n_t, grid.size))
     w2 = np.repeat(weights, 2)
     for start in range(0, half, step):
-        nodes = tg.nodes[start : min(start + step, half)]
+        nodes = half_nodes[start : start + step]
         # |u|^2 = re^2 + im^2: square the interleaved parts in place, weight both by n_j
         sq = synthesize(levels, parts, nodes, out=buf[: len(nodes)]).view(np.float64)
         sq *= sq
         out[start : start + len(nodes)] = (sq.reshape(len(nodes) * grid.size, -1) @ w2).reshape(len(nodes), -1)
     out.reshape(-1, half, grid.size)[1:] = out[:half]
-    return out.reshape((tg.n_t,) + grid.shape)
+    return out.reshape((n_t,) + grid.shape)
 
 
-def density_norm(dens: np.ndarray, tg: TimeGrid, grid: GridSpec, p: float, q: float, measure: str = "dt") -> float:
+def density_norm(dens: np.ndarray, grid: GridSpec, p: float, q: float, measure: str = "dt") -> float:
     """L^p_t L^q_z norm of a density from ``density``, read off one half-period.
 
     The density is pi-periodic in t, so on an even grid its first n_t/2 nodes,
     each at twice the node weight, give the norm of all n_t; an odd grid norms every node.
     """
-    if len(dens) != tg.n_t:
-        raise ValueError(f"density has {len(dens)} time nodes, the time grid {tg.n_t}")
-    half = _half_period_nodes(tg.n_t)
-    return mixed_norm(dens[:half], TimeGrid(half), grid, p, q, measure)
+    return mixed_norm(dens[: _half_period_nodes(len(dens))], grid, p, q, measure)
 
 
 def fit_growth_exponent(sizes, lhs_values) -> float:
@@ -113,7 +111,7 @@ def fit_growth_exponent(sizes, lhs_values) -> float:
     return float(np.polyfit(np.log(sizes[keep]), np.log(lhs[keep]), 1)[0])
 
 
-def sweep(tr: Truncation, tg: TimeGrid, grid: GridSpec, sizes, trials: int, seed: int) -> list:
+def sweep(tr: Truncation, n_t: int, grid: GridSpec, sizes, trials: int, seed: int) -> list:
     """Strichartz quotients of random orthonormal systems, as sorted rows (n, p, q, N, trial, ratio, lhs, rhs).
 
     The exponents are q = 1 + j/(4n) for j = 0, 1, 2, 4, from the
@@ -128,16 +126,16 @@ def sweep(tr: Truncation, tg: TimeGrid, grid: GridSpec, sizes, trials: int, seed
     for N in sizes:
         for trial in range(trials):
             nj = np.ones(N)
-            dens = density(sample_orthonormal_system(tr, N, seed=seed + 1000 * N + trial), nj, tr, tg, grid)
+            dens = density(sample_orthonormal_system(tr, N, seed=seed + 1000 * N + trial), nj, tr, n_t, grid)
             for q in q_values:
                 p = admissible_exponents(n, q)
-                lhs = density_norm(dens, tg, grid, p, q)
+                lhs = density_norm(dens, grid, p, q)
                 rhs = float(np.linalg.norm(nj, 2.0 * q / (q + 1.0)))  # the dual coefficient norm
                 rows.append((n, p, q, N, trial, lhs / rhs, lhs, rhs))
     return sorted(rows)
 
 
-def eigenfunction_growth(tr: Truncation, tg: TimeGrid, grid: GridSpec, sizes) -> float:
+def eigenfunction_growth(tr: Truncation, n_t: int, grid: GridSpec, sizes) -> float:
     """Growth exponent in N of the (2, 2) norm of the first-N-modes density, fitted over the sizes N >= 2.
 
     The canonical eigenfunction systems (first N basis modes, unit
@@ -150,6 +148,6 @@ def eigenfunction_growth(tr: Truncation, tg: TimeGrid, grid: GridSpec, sizes) ->
     if len(fit_sizes) < 2:
         raise ValueError(f"system sizes {sizes} have fewer than two sizes >= 2 for the growth fit")
     _check_sizes(tr, fit_sizes)
-    lhs = [density_norm(density(eigenfunction_system(tr, N), np.ones(N), tr, tg, grid), tg, grid, 2.0, 2.0)
+    lhs = [density_norm(density(eigenfunction_system(tr, N), np.ones(N), tr, n_t, grid), grid, 2.0, 2.0)
            for N in fit_sizes]
     return fit_growth_exponent(fit_sizes, lhs)

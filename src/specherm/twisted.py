@@ -29,7 +29,12 @@ _BASIS_CACHE: OrderedDict = OrderedDict()
 
 
 def cached_basis(tr: Truncation, grid: GridSpec) -> np.ndarray:
-    """Sampled basis of ``basis_matrix``, shared by every caller and therefore read-only."""
+    """Sampled basis of ``basis_matrix``, shared by every caller and therefore read-only.
+
+    A truncation and a grid of different dimension n are rejected before anything is built.
+    """
+    if tr.n != grid.n:
+        raise ValueError(f"truncation of dimension n = {tr.n} on a grid of dimension n = {grid.n}")
     key = (tr, grid)
     basis = _BASIS_CACHE.pop(key, None)
     if basis is None:

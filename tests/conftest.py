@@ -1,6 +1,6 @@
 import pytest
 
-from specherm.grids import default_half_width, make_grid, make_time_grid
+from specherm.grids import default_half_width, make_grid
 from specherm.indices import enumerate_pairs
 
 
@@ -15,5 +15,5 @@ def grid4():
 
 
 @pytest.fixture(scope="session")
-def tg16():
-    return make_time_grid(16)
+def nt16():
+    return 16

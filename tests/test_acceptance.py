@@ -13,7 +13,7 @@ import numpy as np
 from scipy.special import gamma, zeta
 
 from specherm import checks
-from specherm.grids import Field, default_half_width, lp_norm, make_grid, make_time_grid
+from specherm.grids import Field, default_half_width, lp_norm, make_grid
 from specherm.indices import enumerate_pairs
 from specherm.propagator import ComplexTime
 from specherm.schatten import (
@@ -134,9 +134,9 @@ def test_criterion_6_endpoint_multiplier():
         )
         # |gap^{is}| = 1 analytically; complex pow rounds by a few ulps
         ok_weights = ok_weights and gmax <= bound * (1.0 + 1e-13)
-    tg = make_time_grid(28)
+    n_t = 28
     grid = make_grid(1, 9.2, 10)
-    diff = float(np.abs(build_t_z(-1.0, tr, tg, grid) - extension_gram_matrix(tr, tg, grid)).max())
+    diff = float(np.abs(build_t_z(-1.0, tr, n_t, grid) - extension_gram_matrix(tr, n_t, grid)).max())
     report(
         "criterion 6 endpoint multiplier",
         [],
@@ -147,9 +147,9 @@ def test_criterion_6_endpoint_multiplier():
 
 def test_criterion_7_schatten_diagonal_bound():
     tr = enumerate_pairs(1, 4)
-    tg = make_time_grid(16)
+    n_t = 16
     ratios = {
-        M: checks.schatten_ratios(tr, tg, make_grid(1, default_half_width(1, 4), M), range(50)) for M in (48, 64)
+        M: checks.schatten_ratios(tr, n_t, make_grid(1, default_half_width(1, 4), M), range(50)) for M in (48, 64)
     }
     drift = abs(ratios[48].max() - ratios[64].max()) / ratios[64].max()
     report(
@@ -165,13 +165,13 @@ def test_criterion_8_strichartz_quotient():
     ratios = {}
     for M in (48, 64):
         grid = make_grid(1, default_half_width(1, 4), M)
-        rows = sweep(tr, make_time_grid(32), grid, (1, 2, 4, 8, 16), trials=20, seed=0)
+        rows = sweep(tr, 32, grid, (1, 2, 4, 8, 16), trials=20, seed=0)
         ratios[M] = np.array([row[5] for row in rows])
     drift = abs(ratios[48].max() - ratios[64].max()) / ratios[64].max()
     grid = make_grid(1, default_half_width(1, 4), 48)
     report(
         "criterion 8 strichartz quotient",
-        [checks.ratios_finite(ratios[48]), checks.single_mode_closed_form(tr, make_time_grid(32), grid)],
+        [checks.ratios_finite(ratios[48]), checks.single_mode_closed_form(tr, 32, grid)],
         drift <= 0.20,
         f"grid drift {drift:.1%} (<=20%)",
     )
@@ -180,15 +180,15 @@ def test_criterion_8_strichartz_quotient():
 def test_criterion_9_orthonormality_gain():
     tr = enumerate_pairs(1, 4)
     grid = make_grid(1, default_half_width(1, 4), 48)
-    slope = eigenfunction_growth(tr, make_time_grid(32), grid, (1, 2, 4, 8, 16))
+    slope = eigenfunction_growth(tr, 32, grid, (1, 2, 4, 8, 16))
     report("criterion 9 orthonormality gain", [checks.growth_exponent(slope)])
 
 
 def test_criterion_10_duality_principle():
     tr = enumerate_pairs(1, 6)
-    tg = make_time_grid(16)
+    n_t = 16
     grid = make_grid(1, default_half_width(1, 6), 48)
-    weights = random_smoothed_weights(tg, grid, range(20))
-    sandwich, density, _ = duality_check(tr, tg, grid, weights, alpha=4.0, density_exponents=(2.0, 2.0))
+    weights = random_smoothed_weights(n_t, grid, range(20))
+    sandwich, density, _ = duality_check(tr, grid, weights, alpha=4.0, density_exponents=(2.0, 2.0))
     maxima = float(sandwich.max()), float(density.max())
     report("criterion 10 duality principle", [checks.constants_finite(*maxima), checks.constants_comparable(*maxima)])

@@ -243,9 +243,9 @@ class TestCommands:
         # row, which is a (2, 2) norm, so a maximum that skips a NaN would not see it
         real, seen = strichartz.density_norm, []
 
-        def density_norm(dens, tg, grid, p, q, measure="dt"):
+        def density_norm(dens, grid, p, q, measure="dt"):
             seen.append(q)
-            return math.nan if seen.count(1.5) == 1 and q == 1.5 else real(dens, tg, grid, p, q, measure)
+            return math.nan if seen.count(1.5) == 1 and q == 1.5 else real(dens, grid, p, q, measure)
 
         monkeypatch.setattr(strichartz, "density_norm", density_norm)
         out = tmp_path / "sweep.json"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from specherm import checks
-from specherm.grids import Field, default_half_width, lp_norm, make_grid, make_time_grid, mixed_norm, sample_field
+from specherm.grids import Field, default_half_width, lp_norm, make_grid, mixed_norm, sample_field, time_nodes
 
 
 class TestGridSpec:
@@ -46,7 +46,10 @@ class TestGridSpec:
         assert g.weight_tensor.min() >= sys.float_info.min
 
     def test_default_half_width_covers_turning_point(self):
-        assert default_half_width(1, 4) > math.sqrt(2 * (2 * 4 + 1))
+        # the outermost n = 1 mode turns at |zeta| = 2 sqrt(2 k_max + 1); covered up to k_max 51 only
+        for n in (1, 2):
+            for k in range(49):
+                assert default_half_width(n, k) > 2 * math.sqrt(2 * k + 1)
 
 
 def _phi00(grid):
@@ -107,7 +110,6 @@ class TestCachedArraysReadOnly:
             (make_grid(2, 5.0, 8), "axis"),
             (make_grid(2, 5.0, 8), "axis_weights"),
             (make_grid(2, 5.0, 8), "weight_tensor"),
-            (make_time_grid(8), "nodes"),
         ],
     )
     def test_in_place_write_raises(self, owner, name):
@@ -121,77 +123,85 @@ class TestCachedArraysReadOnly:
         assert np.array_equal(getattr(owner, name), before)
 
 
-class TestTimeGrid:
+class TestTimeNodes:
     def test_nodes_avoid_zero_and_endpoints(self):
-        tg = make_time_grid(32)
-        assert not np.any(tg.nodes == 0.0)
-        assert np.all(np.abs(tg.nodes) < math.pi)
+        nodes = time_nodes(32)
+        assert not np.any(nodes == 0.0)
+        assert np.all(np.abs(nodes) < math.pi)
 
-    def test_weights_sum_to_circle(self):
-        tg = make_time_grid(24)
-        assert tg.weight * tg.n_t == pytest.approx(2 * math.pi)
+    def test_spacings_cover_circle(self):
+        nodes = time_nodes(24)
+        assert len(nodes) == 24
+        assert np.allclose(np.diff(nodes), 2 * math.pi / 24, rtol=0, atol=1e-14)
+        assert nodes[0] + math.pi == pytest.approx(math.pi / 24, rel=1e-12)
+
+    def test_each_call_returns_a_fresh_array(self):
+        # nothing is cached, so a caller that writes to its nodes changes no one else's
+        nodes = time_nodes(8)
+        nodes *= 2.0
+        assert np.all(np.abs(time_nodes(8)) < math.pi)
+
+    @pytest.mark.parametrize("n_t", [0, -2])
+    def test_at_least_one_node(self, n_t):
+        with pytest.raises(ValueError, match="at least one time node"):
+            time_nodes(n_t)
 
 
 class TestMixedNorm:
     def test_constant_l2l2(self):
         g = make_grid(1, 8.0, 64)
-        tg = make_time_grid(8)
         F = np.ones((8,) + g.shape)
-        assert mixed_norm(F, tg, g, 2, 2) == pytest.approx(math.sqrt(2 * math.pi) * 16.0, rel=1e-12)
+        assert mixed_norm(F, g, 2, 2) == pytest.approx(math.sqrt(2 * math.pi) * 16.0, rel=1e-12)
 
     def test_static_gaussian_linf_l2(self, grid4):
-        tg = make_time_grid(8)
         F = np.broadcast_to(_phi00(grid4).values, (8,) + grid4.shape)
-        assert mixed_norm(F, tg, grid4, math.inf, 2) == pytest.approx(1.0, abs=1e-8)
+        assert mixed_norm(F, grid4, math.inf, 2) == pytest.approx(1.0, abs=1e-8)
 
     def test_equal_exponents_reduce_to_joint_norm(self, grid4):
         rng = np.random.default_rng(5)
-        tg = make_time_grid(6)
+        n_t = 6
         F = rng.standard_normal((6,) + grid4.shape)
         p = 3.0
-        joint = np.sum(np.abs(F) ** p * grid4.weight_tensor) * tg.weight
-        assert mixed_norm(F, tg, grid4, p, p) == pytest.approx(joint ** (1 / p), rel=1e-12)
+        joint = np.sum(np.abs(F) ** p * grid4.weight_tensor) * (2 * math.pi / n_t)
+        assert mixed_norm(F, grid4, p, p) == pytest.approx(joint ** (1 / p), rel=1e-12)
 
     def test_shape_mismatch(self, grid4):
-        tg = make_time_grid(6)
-        with pytest.raises(ValueError):
-            mixed_norm(np.ones((5,) + grid4.shape), tg, grid4, 2, 2)
+        # the node count is the leading axis; the spatial axes must be the grid's and n_t >= 1
+        for shape in ((6, 48, 47), (6, 48), (0, 48, 48)):
+            with pytest.raises(ValueError, match="not \\(n_t >= 1"):
+                mixed_norm(np.ones(shape), grid4, 2, 2)
 
     def test_normalized_measure_rescales_time_norm(self, grid4):
         rng = np.random.default_rng(6)
-        tg = make_time_grid(6)
         F = rng.standard_normal((6,) + grid4.shape) + 1j * rng.standard_normal((6,) + grid4.shape)
         for p, q in ((1.0, 2.0), (2.0, 1.0), (3.0, 4.0), (4.0, math.inf)):
-            raw = mixed_norm(F, tg, grid4, p, q)
-            normalized = mixed_norm(F, tg, grid4, p, q, measure="dt/2pi")
+            raw = mixed_norm(F, grid4, p, q)
+            normalized = mixed_norm(F, grid4, p, q, measure="dt/2pi")
             assert normalized == pytest.approx(raw * (2 * math.pi) ** (-1 / p), rel=1e-12)
         for q in (2.0, math.inf):
-            assert mixed_norm(F, tg, grid4, math.inf, q, measure="dt/2pi") == mixed_norm(F, tg, grid4, math.inf, q)
+            assert mixed_norm(F, grid4, math.inf, q, measure="dt/2pi") == mixed_norm(F, grid4, math.inf, q)
         with pytest.raises(ValueError):
-            mixed_norm(F, tg, grid4, 2, 2, measure="dt/pi")
+            mixed_norm(F, grid4, 2, 2, measure="dt/pi")
 
     @pytest.mark.parametrize("layout", ["fortran", "batch-innermost"])
     def test_memory_layout_leaves_norm_bit_identical(self, grid4, layout):
         # the norm of a weight must not depend on the memory layout of its array
         rng = np.random.default_rng(7)
-        tg = make_time_grid(16)
         F = rng.standard_normal((16,) + grid4.shape) + 1j * rng.standard_normal((16,) + grid4.shape)
         G = np.asfortranarray(F) if layout == "fortran" else np.moveaxis(np.moveaxis(F, 0, -1).copy(), -1, 0)
         assert not G.flags.c_contiguous
         for p, q in ((4.0, 4.0), (2.0, 2.0), (math.inf, 1.0), (1.0, math.inf)):
-            assert mixed_norm(G, tg, grid4, p, q, measure="dt/2pi") == mixed_norm(F, tg, grid4, p, q, measure="dt/2pi")
+            assert mixed_norm(G, grid4, p, q, measure="dt/2pi") == mixed_norm(F, grid4, p, q, measure="dt/2pi")
 
     @pytest.mark.parametrize("p, q", [(0.5, 2.0), (2.0, 0.5), (math.nan, 2.0), (2.0, math.nan)])
     def test_exponent_below_one_rejected(self, grid4, p, q):
-        tg = make_time_grid(6)
         with pytest.raises(ValueError, match="exponents"):
-            mixed_norm(np.ones((6,) + grid4.shape), tg, grid4, p, q)
+            mixed_norm(np.ones((6,) + grid4.shape), grid4, p, q)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_sample_rejected(self, grid4, bad):
-        tg = make_time_grid(6)
         F = np.ones((6,) + grid4.shape)
         F[3, 10, 20] = bad
         with pytest.raises(ValueError, match="finite"):
-            mixed_norm(F, tg, grid4, 2, 2)
+            mixed_norm(F, grid4, 2, 2)
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specherm import checks
-from specherm.grids import Field, default_half_width, lp_norm, make_grid, make_time_grid
+from specherm.grids import Field, default_half_width, lp_norm, make_grid, time_nodes
 from specherm.indices import enumerate_pairs
 from specherm.propagator import (
     ComplexTime,
@@ -29,7 +29,7 @@ def random_coeffs(tr, seed=0):
     return rng.standard_normal(len(tr)) + 1j * rng.standard_normal(len(tr))
 
 
-def per_pair_samples(coeffs, tr, tg, grid):
+def per_pair_samples(coeffs, tr, n_t, grid):
     """e^{-i t L} u with every basis pair rotated by its own phase and one GEMM per time node.
 
     The reference for the level synthesis of ``propagate_samples``.
@@ -37,10 +37,10 @@ def per_pair_samples(coeffs, tr, tg, grid):
     c = np.asarray(coeffs, dtype=complex)
     basis = cached_basis(tr, grid).reshape(len(tr), -1)
     lam = np.array(tr.eigenvalues(), dtype=float)
-    phases = np.exp(-1j * np.outer(tg.nodes, lam))  # (n_t, n_pairs)
+    phases = np.exp(-1j * np.outer(time_nodes(n_t), lam))  # (n_t, n_pairs)
     rotated = phases[:, :, None] * c.reshape(len(tr), -1)[None, :, :]  # (n_t, n_pairs, N)
     vals = basis.T @ rotated
-    return vals.reshape((tg.n_t,) + grid.shape + c.shape[1:])
+    return vals.reshape((n_t,) + grid.shape + c.shape[1:])
 
 
 class TestComplexTime:
@@ -214,12 +214,11 @@ class TestPropagateSamples:
     def test_matches_per_pair_reference(self, n, k_max, M, n_t, N):
         tr = enumerate_pairs(n, k_max)
         grid = make_grid(n, default_half_width(n, k_max), M)
-        tg = make_time_grid(n_t)
         rng = np.random.default_rng(12)
         shape = (len(tr),) if N is None else (len(tr), N)
         coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        want = per_pair_samples(coeffs, tr, tg, grid)
-        got = propagate_samples(coeffs, tr, tg, grid)
+        want = per_pair_samples(coeffs, tr, n_t, grid)
+        got = propagate_samples(coeffs, tr, n_t, grid)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -228,16 +227,16 @@ class TestPropagateSamples:
         # on an even grid t_{a + n_t/2} = t_a + pi, where e^{-i t L} u changes by (-1)^n
         tr = enumerate_pairs(n, k_max)
         grid = make_grid(n, default_half_width(n, k_max), M)
-        tg = make_time_grid(6)
-        vals = propagate_samples(random_coeffs(tr, seed=14), tr, tg, grid)
+        n_t = 6
+        vals = propagate_samples(random_coeffs(tr, seed=14), tr, n_t, grid)
         assert np.array_equal(vals[3:], (-1) ** n * vals[:3])
 
     @settings(max_examples=25, deadline=None)
     @given(s=st.floats(-2 * math.pi, 2 * math.pi), seed=st.integers(0, 2**16))
-    def test_group_law_on_time_grid(self, s, seed, tr4, grid4, tg16):
+    def test_group_law_on_time_grid(self, s, seed, tr4, grid4, nt16):
         # e^{-i t L} e^{-i s L} u = e^{-i (t + s) L} u: rotating the coefficients by s,
         # then synthesizing at the nodes, equals synthesizing at the shifted nodes
         c = random_coeffs(tr4, seed=seed)
-        rotated_first = synthesize(*level_parts(propagate_coeffs(c, tr4, s), tr4, grid4), tg16.nodes)
-        shifted_nodes = synthesize(*level_parts(c, tr4, grid4), tg16.nodes + s)
+        rotated_first = synthesize(*level_parts(propagate_coeffs(c, tr4, s), tr4, grid4), time_nodes(nt16))
+        shifted_nodes = synthesize(*level_parts(c, tr4, grid4), time_nodes(nt16) + s)
         assert np.abs(rotated_first - shifted_nodes).max() <= 1e-12 * np.abs(shifted_nodes).max()

@@ -1,4 +1,5 @@
 import math
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -12,13 +13,13 @@ from specherm.grids import (
     default_half_width,
     lp_norm,
     make_grid,
-    make_time_grid,
     mixed_norm,
     sample_field,
 )
 from specherm.indices import enumerate_pairs, multi_indices
 from specherm.propagator import ComplexTime, mehler_kernel_field
-from specherm.schatten import random_smoothed_weights
+from specherm.schatten import random_smoothed_weights, weighted_gram
+from specherm.strichartz import density
 from specherm.twisted import (
     TwistedConvolver,
     apply_twisted_laplacian,
@@ -278,7 +279,7 @@ class TestConvolver:
 
     @pytest.mark.parametrize("n, M", [(1, 16), (2, 8)])
     def test_weight_generator_builds_one_spectrum(self, built, n, M):
-        weights = list(random_smoothed_weights(make_time_grid(4), make_grid(n, 6.0, M), [0, 1, 2]))
+        weights = list(random_smoothed_weights(4, make_grid(n, 6.0, M), [0, 1, 2]))
         assert len(weights) == 3
         assert len(built) == 1
 
@@ -286,19 +287,19 @@ class TestConvolver:
         # each weight against one built without the generator: the noise drawn as default_rng(seed)
         # draws it, real block then imaginary block, each time slice convolved with the Mehler kernel
         # by the per-output gather, then normalized in L^4_t L^4_z, which checks.schatten_ratios relies on
-        tg, grid = make_time_grid(4), make_grid(1, 6.0, 16)
+        n_t, grid = 4, make_grid(1, 6.0, 16)
         kernel = mehler_kernel_field(ComplexTime(0.2, 0.0), grid)
         seeds = [3, 4]
-        weights = list(random_smoothed_weights(tg, grid, seeds))
+        weights = list(random_smoothed_weights(n_t, grid, seeds))
         assert len(weights) == len(seeds)
-        shape = (tg.n_t,) + grid.shape
+        shape = (n_t,) + grid.shape
         for seed, got in zip(seeds, weights):
             rng = np.random.default_rng(seed)
             raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             want = np.stack([gather_reference(Field(grid, v), kernel) for v in raw])
-            want /= mixed_norm(want, tg, grid, 4.0, 4.0, measure="dt/2pi")
+            want /= mixed_norm(want, grid, 4.0, 4.0, measure="dt/2pi")
             assert max_rel(got, want) < 1e-12
-            assert abs(mixed_norm(got, tg, grid, 4.0, 4.0, measure="dt/2pi") - 1.0) <= 1e-14
+            assert abs(mixed_norm(got, grid, 4.0, 4.0, measure="dt/2pi") - 1.0) <= 1e-14
 
 
 class TestConvolutionProperties:
@@ -376,6 +377,23 @@ class TestTransforms:
         np.testing.assert_array_equal(rebuilt, first)
         assert not rebuilt.flags.writeable
         assert cached_basis(tr, grid) is rebuilt
+
+    @pytest.mark.parametrize("tr_n, grid_n", [(2, 1), (1, 2)])
+    def test_dimension_mismatch_rejected_before_any_basis(self, tr_n, grid_n, monkeypatch):
+        # every basis consumer passes through cached_basis; an n = 2, k_max 1 truncation on an
+        # n = 1, M = 16 grid would otherwise build and cache a (9, 16^4) basis, then fail in numpy
+        monkeypatch.setattr(twisted, "_BASIS_CACHE", OrderedDict())
+        tr, grid = enumerate_pairs(tr_n, 1), make_grid(grid_n, 8.0, 16)
+        calls = [
+            lambda: checks.gram_identity(tr, grid),
+            lambda: density(np.eye(len(tr), 1), [1.0], tr, 4, grid),
+            lambda: weighted_gram(np.ones((4,) + grid.shape), tr, grid),
+            lambda: inverse_transform(np.ones(len(tr)), tr, grid),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"dimension n = {tr_n} on a grid of dimension n = {grid_n}"):
+                call()
+        assert not twisted._BASIS_CACHE
 
     def test_inverse_of_zero(self, tr4, grid4):
         c = np.zeros(len(tr4), dtype=complex)
