@@ -58,15 +58,6 @@ def _sh1d(mu, nu, x, y) -> np.ndarray:
     return (2.0 * math.pi) ** (-0.5) * _I_POWERS[np.abs(d) % 4][point_axes] * phases[d + k_max] * radial
 
 
-def _as_coords(zeta, n: int) -> tuple[np.ndarray, np.ndarray]:
-    z = np.atleast_1d(np.asarray(zeta, dtype=complex))
-    if z.shape[-1] != n and not (n == 1 and z.ndim == 1):
-        raise ValueError(f"point has {z.shape[-1]} complex coordinates, expected {n}")
-    if n == 1 and z.ndim == 1:
-        z = z[..., None]
-    return z.real, z.imag
-
-
 def special_hermite(mu, nu, zeta) -> complex:
     """Two-index eigenfunction Phi_{mu nu}(zeta), zeta in C^n, for integer sequences mu and nu of length n.
 
@@ -77,10 +68,14 @@ def special_hermite(mu, nu, zeta) -> complex:
         raise ValueError(f"need two multi-indices of the same length >= 1, got {mu} and {nu}")
     if min(mu + nu) < 0:
         raise ValueError(f"multi-index entries must be non-negative, got {mu} and {nu}")
-    x, y = _as_coords(zeta, len(mu))
+    n, z = len(mu), np.atleast_1d(np.asarray(zeta, dtype=complex))
+    if z.shape[-1] != n and not (n == 1 and z.ndim == 1):
+        raise ValueError(f"point has {z.shape[-1]} complex coordinates, expected {n}")
+    if n == 1 and z.ndim == 1:
+        z = z[..., None]
     out = 1.0 + 0.0j
     for j, (m, v) in enumerate(zip(mu, nu)):
-        out = out * _sh1d(m, v, x[..., j], y[..., j])
+        out = out * _sh1d(m, v, z.real[..., j], z.imag[..., j])
     if np.ndim(out) == 0 or np.shape(out) == (1,):
         return complex(np.ravel(out)[0])
     return out

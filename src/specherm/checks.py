@@ -43,7 +43,7 @@ _STACK_ENTRIES = 1 << 20
 def eigenrelation(tr: Truncation, grid: GridSpec) -> Check:
     """Largest relative L2 residual of L Phi = lambda Phi; ValueError if the grid is too coarse for L."""
     basis = cached_basis(tr, grid)
-    lam = tr.eigenvalues().reshape(-1, *[1] * (2 * grid.n))
+    lam = tr.eigenvalues.reshape(-1, *[1] * (2 * grid.n))
     w = grid.weight_tensor.ravel()
     step = max(1, _STACK_ENTRIES // grid.size)
     worst = 0.0

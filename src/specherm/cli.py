@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__, checks
 from .grids import default_half_width, make_grid
-from .indices import enumerate_pairs
+from .indices import Truncation
 from .propagator import ComplexTime
 from .schatten import duality_check, random_smoothed_weights
 from .singularity import default_config, remainder_profile
@@ -109,7 +109,7 @@ def _discretization(p):
     config file) are usage errors, not failed checks.
     """
     try:
-        tr = enumerate_pairs(p["n"], p["kmax"])
+        tr = Truncation(p["n"], p["kmax"])
         L = p["grid_l"] if p["grid_l"] is not None else default_half_width(p["n"], p["kmax"])
         return tr, make_grid(p["n"], L, p["grid_m"])
     except ValueError as exc:
@@ -168,9 +168,9 @@ def singularity_cmd(**p):
     """Abel-regularized singularity expansion and kernel blow-up rates."""
     _discretization(p)  # unused here, but invalid common flags are rejected as everywhere
     ts = tuple(np.linspace(0.2, math.pi - 0.2, 9))
-    cfg = default_config(-0.5, 1e-4, t_samples=ts)
-    times, abel, singular = remainder_profile(cfg)
-    _, fine_abel, fine_singular = remainder_profile(default_config(-0.5, 1e-5, t_samples=ts))
+    cfg = default_config(-0.5, 1e-4)
+    times, abel, singular = remainder_profile(cfg, ts)
+    _, fine_abel, fine_singular = remainder_profile(default_config(-0.5, 1e-5), ts)
     remainder = abel - singular
     results = [checks.remainder_tau_stable(remainder, fine_abel - fine_singular), checks.kernel_rate_law(p["n"])]
     payload = {"t": list(times), "remainder_abs": [float(a) for a in np.abs(remainder)],

@@ -116,11 +116,6 @@ class Field:
             raise ValueError("field values must be finite")
 
 
-def sample_field(grid: GridSpec, fn) -> Field:
-    """Sample ``fn(z_1, ..., z_n)`` (complex coordinate arrays) on the grid."""
-    return Field(grid, np.asarray(fn(*grid.zeta_coords()), dtype=complex))
-
-
 def lp_norm(f: Field, p: float) -> float:
     """L^p norm over the spatial grid; p = inf gives the max modulus over nodes."""
     if not p >= 1:  # NaN fails the comparison
@@ -128,8 +123,6 @@ def lp_norm(f: Field, p: float) -> float:
     a = np.abs(f.values)
     if math.isinf(p):
         return float(a.max())
-    if p == 1:
-        return float(np.sum(a * f.grid.weight_tensor))
     return float(np.sum(a**p * f.grid.weight_tensor) ** (1.0 / p))
 
 
@@ -162,8 +155,6 @@ def mixed_norm(values: np.ndarray, grid: GridSpec, p: float, q: float, measure: 
     w = grid.weight_tensor.ravel()
     if math.isinf(q):
         spatial = a.max(axis=1)
-    elif q == 1:
-        spatial = a @ w
     else:
         spatial = (a**q @ w) ** (1.0 / q)
     tw = 2.0 * math.pi / n_t
@@ -171,7 +162,5 @@ def mixed_norm(values: np.ndarray, grid: GridSpec, p: float, q: float, measure: 
         tw /= 2.0 * math.pi
     if math.isinf(p):
         return float(spatial.max())
-    if p == 1:
-        return float(np.sum(spatial * tw))
     return float(np.sum(spatial**p * tw) ** (1.0 / p))
 

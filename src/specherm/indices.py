@@ -54,22 +54,15 @@ class Truncation:
     def __len__(self) -> int:
         return len(self.mu)
 
+    @cached_property
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalue 2|nu| + n of every pair, in order: one read-only array shared by every caller."""
-        return self._eigenvalues
-
-    @cached_property
-    def _eigenvalues(self) -> np.ndarray:
         return _read_only(2 * self.nu.sum(axis=1) + self.n)
 
     @cached_property
     def level_blocks(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         """The distinct eigenvalues in ascending order and the positions of the pairs at each: read-only, shared."""
-        lam = self._eigenvalues
+        lam = self.eigenvalues
         levels = _read_only(np.unique(lam))
         return levels, tuple(_read_only(np.flatnonzero(lam == level)) for level in levels)
 
-
-def enumerate_pairs(n: int, k_max: int) -> Truncation:
-    """Truncation holding every pair (mu, nu) with |mu|, |nu| <= k_max."""
-    return Truncation(n, k_max)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Field, GridSpec, make_grid, sample_field, time_nodes
+from .grids import Field, GridSpec, make_grid, time_nodes
 from .indices import Truncation
 from .twisted import cached_basis, coefficient_vector, twisted_convolve
 
@@ -22,10 +22,6 @@ _TWO_PI = 2.0 * math.pi
 
 class SingularTimeError(ValueError):
     """Kernel evaluation requested at a parameter where 1 - e^{-2 eta} vanishes."""
-
-
-def _reduce_angle(t: float) -> float:
-    return math.remainder(t, _TWO_PI)
 
 
 @dataclass(frozen=True)
@@ -43,15 +39,11 @@ class ComplexTime:
 
     @classmethod
     def reduced(cls, r: float, t: float) -> "ComplexTime":
-        return cls(r, _reduce_angle(t))
+        return cls(r, math.remainder(t, _TWO_PI))
 
     @property
     def eta(self) -> complex:
         return complex(self.r, self.t)
-
-    @property
-    def omega(self) -> complex:
-        return cmath.exp(-2.0 * self.eta)
 
 
 def mehler_kernel(eta: ComplexTime, zeta, n: int = 1):
@@ -61,7 +53,7 @@ def mehler_kernel(eta: ComplexTime, zeta, n: int = 1):
     w = e^{-2 eta}.  Singular exactly where 1 - w vanishes (eta = 0 or
     purely imaginary with sin t = 0).
     """
-    w = eta.omega
+    w = cmath.exp(-2.0 * eta.eta)
     one_minus = 1.0 - w
     if abs(one_minus) <= 1e-12:
         raise SingularTimeError(f"kernel singular at eta={eta.eta}")
@@ -76,12 +68,12 @@ def mehler_kernel(eta: ComplexTime, zeta, n: int = 1):
 
 
 def mehler_kernel_field(eta: ComplexTime, grid: GridSpec) -> Field:
-    return sample_field(grid, lambda *zs: mehler_kernel(eta, np.stack(zs, axis=-1), grid.n))
+    return Field(grid, mehler_kernel(eta, np.stack(grid.zeta_coords(), axis=-1), grid.n))
 
 
 def evolve_spectral(c, tr: Truncation, eta: ComplexTime) -> np.ndarray:
     """Diagonal action on a coefficient vector over ``tr``: each entry is damped/rotated by e^{-eta (2|nu| + n)}."""
-    return coefficient_vector(c, tr) * np.exp(-eta.eta * tr.eigenvalues())
+    return coefficient_vector(c, tr) * np.exp(-eta.eta * tr.eigenvalues)
 
 
 def evolve_kernel(f: Field, eta: ComplexTime) -> Field:

@@ -107,11 +107,11 @@ def _t_z_factors(z, tr, n_t):
         raise ValueError(f"need more than {2 * cut} time nodes for frequency range +-{cut}")
     if complex(z) == -1.0 + 0.0j:
         lams = tr.level_blocks[0]
-        weights = (tr.eigenvalues()[:, None] == lams).astype(float)
+        weights = (tr.eigenvalues[:, None] == lams).astype(float)
     else:
         z = _pointwise_z(z)
         lams = np.arange(-cut, cut + 1)
-        gap = (lams[None, :] - tr.eigenvalues()[:, None]).astype(float)
+        gap = (lams[None, :] - tr.eigenvalues[:, None]).astype(float)
         weights = np.where(gap > 0, np.maximum(gap, 1.0) ** z, 0.0) / gamma(z + 1)
     return lams, weights
 
@@ -159,7 +159,7 @@ def weighted_gram(w_samples: np.ndarray, tr: Truncation, grid: GridSpec) -> np.n
     if w.shape[1:] != grid.shape or not len(w):
         raise ValueError(f"weight samples of shape {w.shape} are not (n_t >= 1, *{grid.shape})")
     basis = cached_basis(tr, grid).reshape(len(tr), -1)
-    lam = tr.eigenvalues()
+    lam = tr.eigenvalues
     levels, blocks = tr.level_blocks
     diffs, index = np.unique(levels[:, None] - lam, return_inverse=True)
     index = index.reshape(len(levels), len(lam))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,14 +21,12 @@ class ProbeConfig:
     """Parameters of one Abel-summation probe.
 
     The damping must make the tail past ``k_cut`` negligible
-    (e^{-tau k_cut} < 1e-10), and the sample times must avoid t = 0 where
-    the singular term has no principal-branch limit.
+    (e^{-tau k_cut} < 1e-10).
     """
 
     z: complex
     tau: float
     k_cut: int
-    t_samples: tuple = field(default=())
 
     def __post_init__(self):
         z = complex(self.z)
@@ -38,10 +36,6 @@ class ProbeConfig:
             raise ValueError("Abel parameter tau must be positive")
         if math.exp(-self.tau * self.k_cut) >= 1e-10:
             raise ValueError("k_cut too small for tau: tail e^{-tau k_cut} not below 1e-10")
-        ts = tuple(float(t) for t in self.t_samples)
-        if any(t == 0.0 or not (-math.pi <= t <= math.pi) for t in ts):
-            raise ValueError("t samples must lie in [-pi, pi] and avoid 0")
-        object.__setattr__(self, "t_samples", ts)
         object.__setattr__(self, "z", z)
 
 
@@ -75,9 +69,9 @@ def gamma(z: complex) -> complex:
     return math.sqrt(2.0 * math.pi) * cmath.exp((z + 0.5) * cmath.log(t) - t) * x
 
 
-def default_config(z: complex, tau: float = 1e-4, t_samples=()) -> ProbeConfig:
+def default_config(z: complex, tau: float) -> ProbeConfig:
     k_cut = int(math.ceil(24.0 / tau))  # e^{-24} ~ 4e-11
-    return ProbeConfig(z=z, tau=tau, k_cut=k_cut, t_samples=tuple(t_samples))
+    return ProbeConfig(z=z, tau=tau, k_cut=k_cut)
 
 
 # k = qB + r with r = 1..B: B inner phases e^{-itr} are shared by every block
@@ -202,11 +196,16 @@ def singular_term(z: complex, t: float, tau: float = 0.0) -> complex:
     return gamma(z + 1) * s ** (-z - 1.0)
 
 
-def remainder_profile(cfg: ProbeConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The sorted sample times t with abel_sum and singular_term at each; their difference is the remainder b(t)."""
-    ts = np.array(sorted(cfg.t_samples))
+def remainder_profile(cfg: ProbeConfig, t_samples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sorted sample times t with abel_sum and singular_term at each; their difference is the remainder b(t).
+
+    The times must avoid t = 0, where the singular term has no principal-branch limit, and lie in [-pi, pi].
+    """
+    ts = np.array(sorted(float(t) for t in t_samples))
     if ts.size == 0:
-        raise ValueError("no time samples configured")
+        raise ValueError("no time samples given")
+    if any(t == 0.0 or not (-math.pi <= t <= math.pi) for t in ts):
+        raise ValueError("t samples must lie in [-pi, pi] and avoid 0")
     return ts, abel_sum(cfg, ts), np.array([singular_term(cfg.z, t, cfg.tau) for t in ts])
 
 

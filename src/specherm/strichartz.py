@@ -101,16 +101,6 @@ def density_norm(dens: np.ndarray, grid: GridSpec, p: float, q: float, measure: 
     return mixed_norm(dens[: _half_period_nodes(len(dens))], grid, p, q, measure)
 
 
-def fit_growth_exponent(sizes, lhs_values) -> float:
-    """Least-squares slope of log LHS against log N, restricted to N >= 2."""
-    sizes = np.asarray(sizes, dtype=float)
-    lhs = np.asarray(lhs_values, dtype=float)
-    keep = sizes >= 2
-    if np.sum(keep) < 2:
-        raise ValueError("need at least two system sizes >= 2 for a growth fit")
-    return float(np.polyfit(np.log(sizes[keep]), np.log(lhs[keep]), 1)[0])
-
-
 def sweep(tr: Truncation, n_t: int, grid: GridSpec, sizes, trials: int, seed: int) -> list:
     """Strichartz quotients of random orthonormal systems, as sorted rows (n, p, q, N, trial, ratio, lhs, rhs).
 
@@ -150,4 +140,5 @@ def eigenfunction_growth(tr: Truncation, n_t: int, grid: GridSpec, sizes) -> flo
     _check_sizes(tr, fit_sizes)
     lhs = [density_norm(density(eigenfunction_system(tr, N), np.ones(N), tr, n_t, grid), grid, 2.0, 2.0)
            for N in fit_sizes]
-    return fit_growth_exponent(fit_sizes, lhs)
+    return float(np.polyfit(np.log(fit_sizes), np.log(lhs), 1)[0])
+

@@ -15,17 +15,13 @@ reuses it for every batch it convolves.
 """
 from __future__ import annotations
 
-from collections import OrderedDict
+from functools import lru_cache
 
 import numpy as np
 
 from .basis import basis_matrix
-from .grids import Field, GridSpec
+from .grids import Field, GridSpec, _read_only
 from .indices import Truncation
-
-# bases kept, least recently used evicted first: one n = 2 basis at M = 24 is 191 MB
-_BASIS_CACHE_SIZE = 4
-_BASIS_CACHE: OrderedDict = OrderedDict()
 
 
 def cached_basis(tr: Truncation, grid: GridSpec) -> np.ndarray:
@@ -35,15 +31,13 @@ def cached_basis(tr: Truncation, grid: GridSpec) -> np.ndarray:
     """
     if tr.n != grid.n:
         raise ValueError(f"truncation of dimension n = {tr.n} on a grid of dimension n = {grid.n}")
-    key = (tr, grid)
-    basis = _BASIS_CACHE.pop(key, None)
-    if basis is None:
-        basis = basis_matrix(tr, grid)
-        basis.setflags(write=False)
-    _BASIS_CACHE[key] = basis
-    if len(_BASIS_CACHE) > _BASIS_CACHE_SIZE:
-        _BASIS_CACHE.popitem(last=False)
-    return basis
+    return _basis(tr, grid)
+
+
+# bases kept, least recently used evicted first: one n = 2 basis at M = 24 is 191 MB
+@lru_cache(maxsize=4)
+def _basis(tr: Truncation, grid: GridSpec) -> np.ndarray:
+    return _read_only(basis_matrix(tr, grid))
 
 
 def coefficient_vector(c, tr: Truncation) -> np.ndarray:

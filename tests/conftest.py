@@ -1,12 +1,12 @@
 import pytest
 
 from specherm.grids import default_half_width, make_grid
-from specherm.indices import enumerate_pairs
+from specherm.indices import Truncation
 
 
 @pytest.fixture(scope="session")
 def tr4():
-    return enumerate_pairs(1, 4)
+    return Truncation(1, 4)
 
 
 @pytest.fixture(scope="session")

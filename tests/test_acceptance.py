@@ -14,7 +14,7 @@ from scipy.special import gamma, zeta
 
 from specherm import checks
 from specherm.grids import Field, default_half_width, lp_norm, make_grid
-from specherm.indices import enumerate_pairs
+from specherm.indices import Truncation
 from specherm.propagator import ComplexTime
 from specherm.schatten import (
     build_t_z,
@@ -51,13 +51,13 @@ def random_coeffs(tr, seed=0):
 
 
 def test_criterion_1_basis_fidelity():
-    gram = checks.gram_identity(enumerate_pairs(1, 8), make_grid(1, default_half_width(1, 8), 64))
-    eigen = checks.eigenrelation(enumerate_pairs(1, 6), make_grid(1, default_half_width(1, 6), 64))
+    gram = checks.gram_identity(Truncation(1, 8), make_grid(1, default_half_width(1, 8), 64))
+    eigen = checks.eigenrelation(Truncation(1, 6), make_grid(1, default_half_width(1, 6), 64))
     report("criterion 1 basis fidelity", [gram, eigen])
 
 
 def test_criterion_2_twisted_orthogonality():
-    tr = enumerate_pairs(1, 3)
+    tr = Truncation(1, 3)
     grid = make_grid(1, default_half_width(1, 3), 48)
     basis = cached_basis(tr, grid)
     labels = list(zip(tr.mu[:, 0].tolist(), tr.nu[:, 0].tolist()))  # n = 1: (mu, nu) of each row
@@ -73,7 +73,7 @@ def test_criterion_2_twisted_orthogonality():
 
 
 def test_criterion_3_kernel_law():
-    tr = enumerate_pairs(1, 8)
+    tr = Truncation(1, 8)
     c = random_coeffs(tr, seed=1)
     results = [
         checks.kernel_modulus_law(np.linspace(0.25, math.pi - 0.25, 9), (0.0, 0.7 + 0.4j, 2.0 - 1.0j), 1),
@@ -84,7 +84,7 @@ def test_criterion_3_kernel_law():
 
 
 def test_criterion_4_plancherel_unitarity():
-    tr = enumerate_pairs(1, 6)
+    tr = Truncation(1, 6)
     grid = make_grid(1, default_half_width(1, 6), 64)
     c = random_coeffs(tr, seed=2)
     f = inverse_transform(c, tr, grid)
@@ -110,7 +110,7 @@ def test_criterion_5_abel_singularity():
         dev = max(dev, abs(a - (s + limit)) / abs(s + limit))
         dev_singular = max(dev_singular, abs(a - s) / abs(s))
     ts = tuple(np.linspace(0.2, math.pi - 0.2, 9))
-    profiles = (remainder_profile(default_config(-0.5, tau, t_samples=ts)) for tau in (1e-4, 1e-5))
+    profiles = (remainder_profile(default_config(-0.5, tau), ts) for tau in (1e-4, 1e-5))
     coarse, fine = (abel - singular for _, abel, singular in profiles)
     report(
         "criterion 5 abel singularity",
@@ -122,7 +122,7 @@ def test_criterion_5_abel_singularity():
 
 
 def test_criterion_6_endpoint_multiplier():
-    tr = enumerate_pairs(1, 2)
+    tr = Truncation(1, 2)
     cut = default_lambda_cut(tr)
     ok_weights = True
     for s in (0.0, 1.0, 2.0):
@@ -146,7 +146,7 @@ def test_criterion_6_endpoint_multiplier():
 
 
 def test_criterion_7_schatten_diagonal_bound():
-    tr = enumerate_pairs(1, 4)
+    tr = Truncation(1, 4)
     n_t = 16
     ratios = {
         M: checks.schatten_ratios(tr, n_t, make_grid(1, default_half_width(1, 4), M), range(50)) for M in (48, 64)
@@ -161,7 +161,7 @@ def test_criterion_7_schatten_diagonal_bound():
 
 
 def test_criterion_8_strichartz_quotient():
-    tr = enumerate_pairs(1, 4)
+    tr = Truncation(1, 4)
     ratios = {}
     for M in (48, 64):
         grid = make_grid(1, default_half_width(1, 4), M)
@@ -178,14 +178,14 @@ def test_criterion_8_strichartz_quotient():
 
 
 def test_criterion_9_orthonormality_gain():
-    tr = enumerate_pairs(1, 4)
+    tr = Truncation(1, 4)
     grid = make_grid(1, default_half_width(1, 4), 48)
     slope = eigenfunction_growth(tr, 32, grid, (1, 2, 4, 8, 16))
     report("criterion 9 orthonormality gain", [checks.growth_exponent(slope)])
 
 
 def test_criterion_10_duality_principle():
-    tr = enumerate_pairs(1, 6)
+    tr = Truncation(1, 6)
     n_t = 16
     grid = make_grid(1, default_half_width(1, 6), 48)
     weights = random_smoothed_weights(n_t, grid, range(20))

@@ -11,7 +11,7 @@ from scipy.special import eval_genlaguerre, gammaln
 from specherm import checks, twisted
 from specherm.basis import basis_matrix, laguerre_table, phi_k, special_hermite
 from specherm.grids import default_half_width, make_grid
-from specherm.indices import Truncation, enumerate_pairs, multi_indices
+from specherm.indices import Truncation, multi_indices
 
 
 class TestHermite1d:
@@ -106,7 +106,7 @@ class TestBasisMatrix:
     def test_n2_outer_products_match_pointwise_values(self):
         # outer products of the one-coordinate table on the M x M plane against
         # special_hermite evaluated at each of the M^4 grid points on its own
-        tr = enumerate_pairs(2, 2)
+        tr = Truncation(2, 2)
         grid = make_grid(2, default_half_width(2, 2), 10)
         points = np.stack(grid.zeta_coords(), axis=-1)
         want = np.stack([special_hermite(mu, nu, points) for mu, nu in zip(tr.mu, tr.nu)])
@@ -118,7 +118,7 @@ class TestBasisMatrix:
     def test_high_degree_against_scipy_laguerre(self, k_max):
         # Phi_{mu nu} = (2 pi)^{-1/2} i^{|mu-nu|} e^{-i(mu-nu) theta} l^{|mu-nu|}_{min(mu,nu)}(|zeta|^2/2),
         # with scipy's generalized Laguerre polynomial and log-gamma normalization
-        tr = enumerate_pairs(1, k_max)
+        tr = Truncation(1, k_max)
         grid = make_grid(1, default_half_width(1, k_max), 10)
         (z,) = grid.zeta_coords()
         s = np.abs(z) ** 2 / 2
@@ -131,15 +131,15 @@ class TestBasisMatrix:
 
     def test_gram_identity_at_kmax_24(self):
         # the Gauss-Hermite basis this replaced read 2.4e-06 here, above the check's 1e-6
-        tr, grid = enumerate_pairs(1, 24), make_grid(1, default_half_width(1, 24), 106)
+        tr, grid = Truncation(1, 24), make_grid(1, default_half_width(1, 24), 106)
         result = checks.gram_identity(tr, grid)
-        twisted._BASIS_CACHE.pop((tr, grid))  # 112 MB; no other test reads it
+        twisted._basis.cache_clear()  # frees the 112 MB basis, which no other test reads
         assert result.passed, result.detail
 
     def test_n3_rows_are_outer_products_of_n1_rows(self):
         # the first n at which the per-coordinate broadcast runs twice; a
         # pointwise special_hermite reference at n = 3 is too slow here
-        tr, tr1 = enumerate_pairs(3, 1), enumerate_pairs(1, 1)
+        tr, tr1 = Truncation(3, 1), Truncation(1, 1)
         grid = make_grid(3, default_half_width(3, 1), 8)
         rows = basis_matrix(tr1, make_grid(1, grid.L, grid.M))
         row_of = {(m, v): i for i, (m, v) in enumerate(zip(tr1.mu[:, 0].tolist(), tr1.nu[:, 0].tolist()))}
@@ -179,9 +179,9 @@ class TestPhiK:
 
 class TestIndices:
     def test_smallest_truncations(self):
-        assert len(enumerate_pairs(1, 0)) == 1
-        assert len(enumerate_pairs(1, 1)) == 4
-        assert len(enumerate_pairs(2, 1)) == 9
+        assert len(Truncation(1, 0)) == 1
+        assert len(Truncation(1, 1)) == 4
+        assert len(Truncation(2, 1)) == 9
 
     def test_ordering_deterministic(self):
         # graded-lex: by degree, then lexicographic; pairs by mu, then by nu
@@ -191,20 +191,20 @@ class TestIndices:
         assert tr.mu.dtype == tr.nu.dtype == np.int64
         assert tr.mu.tolist() == [list(m) for m in singles for _ in singles]
         assert tr.nu.tolist() == [list(v) for _ in singles for v in singles]
-        a, b = enumerate_pairs(1, 3), enumerate_pairs(1, 3)
+        a, b = Truncation(1, 3), Truncation(1, 3)
         np.testing.assert_array_equal(a.mu, b.mu)
         np.testing.assert_array_equal(a.nu, b.nu)
 
     def test_truncation_is_its_n_and_kmax(self):
-        tr = enumerate_pairs(2, 1)
+        tr = Truncation(2, 1)
         assert tr == Truncation(2, 1) and hash(tr) == hash(Truncation(2, 1))
-        assert tr != enumerate_pairs(2, 2)
+        assert tr != Truncation(2, 2)
         for n, k_max in ((0, 1), (1, -1)):
             with pytest.raises(ValueError):
                 Truncation(n, k_max)
 
     def test_no_duplicates(self):
-        tr = enumerate_pairs(2, 2)
+        tr = Truncation(2, 2)
         assert len(np.unique(np.hstack([tr.mu, tr.nu]), axis=0)) == len(tr)
         for name in ("mu", "nu"):  # built once, shared, read-only
             a = getattr(tr, name)
@@ -215,15 +215,15 @@ class TestIndices:
     def test_eigenvalue(self):
         def eigenvalue(tr, mu, nu):
             (i,) = np.flatnonzero((tr.mu == mu).all(axis=1) & (tr.nu == nu).all(axis=1))
-            return tr.eigenvalues()[i]
+            return tr.eigenvalues[i]
 
-        assert eigenvalue(enumerate_pairs(1, 3), (0,), (3,)) == 7
-        assert eigenvalue(enumerate_pairs(2, 2), (1, 1), (2, 0)) == 6
+        assert eigenvalue(Truncation(1, 3), (0,), (3,)) == 7
+        assert eigenvalue(Truncation(2, 2), (1, 1), (2, 0)) == 6
 
     def test_eigenvalues_one_read_only_integer_array(self):
-        tr = enumerate_pairs(2, 2)
-        lam = tr.eigenvalues()
-        assert lam is tr.eigenvalues()
+        tr = Truncation(2, 2)
+        lam = tr.eigenvalues
+        assert lam is tr.eigenvalues
         assert lam.dtype.kind == "i"
         assert lam.tolist() == [2 * sum(nu) + 2 for nu in tr.nu.tolist()]
         with pytest.raises(ValueError):
@@ -231,14 +231,14 @@ class TestIndices:
 
     @pytest.mark.parametrize("n, k_max", [(1, 4), (2, 2)])
     def test_level_blocks_partition_by_eigenvalue(self, n, k_max):
-        tr = enumerate_pairs(n, k_max)
+        tr = Truncation(n, k_max)
         levels, blocks = tr.level_blocks
         assert tr.level_blocks is tr.level_blocks
         assert np.all(np.diff(levels) > 0)
         assert len(blocks) == len(levels)
         assert sorted(np.concatenate(blocks).tolist()) == list(range(len(tr)))
         for level, block in zip(levels, blocks):
-            assert block.size and np.all(tr.eigenvalues()[block] == level)
+            assert block.size and np.all(tr.eigenvalues[block] == level)
         for a in (levels, *blocks):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from specherm import checks
-from specherm.grids import Field, default_half_width, lp_norm, make_grid, mixed_norm, sample_field, time_nodes
+from specherm.grids import Field, default_half_width, lp_norm, make_grid, mixed_norm, time_nodes
 
 
 class TestGridSpec:
@@ -53,7 +53,8 @@ class TestGridSpec:
 
 
 def _phi00(grid):
-    return sample_field(grid, lambda z: (2 * math.pi) ** -0.5 * np.exp(-np.abs(z) ** 2 / 4))
+    (z,) = grid.zeta_coords()
+    return Field(grid, (2 * math.pi) ** -0.5 * np.exp(-np.abs(z) ** 2 / 4))
 
 
 class TestInnerProduct:

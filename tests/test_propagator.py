@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from specherm import checks
 from specherm.grids import Field, default_half_width, lp_norm, make_grid, time_nodes
-from specherm.indices import enumerate_pairs
+from specherm.indices import Truncation
 from specherm.propagator import (
     ComplexTime,
     SingularTimeError,
@@ -36,7 +36,7 @@ def per_pair_samples(coeffs, tr, n_t, grid):
     """
     c = np.asarray(coeffs, dtype=complex)
     basis = cached_basis(tr, grid).reshape(len(tr), -1)
-    lam = np.array(tr.eigenvalues(), dtype=float)
+    lam = np.array(tr.eigenvalues, dtype=float)
     phases = np.exp(-1j * np.outer(time_nodes(n_t), lam))  # (n_t, n_pairs)
     rotated = phases[:, :, None] * c.reshape(len(tr), -1)[None, :, :]  # (n_t, n_pairs, N)
     vals = basis.T @ rotated
@@ -156,7 +156,7 @@ class TestEvolveKernel:
     def test_n2_kernel_vs_spectral_passes_at_m32(self):
         # the first n = 2 end-to-end check: the kernel path as one n = 1 pass per coordinate,
         # the spectral path through the n = 2 basis; M = 24 still misses the bound (3.8e-6)
-        tr = enumerate_pairs(2, 1)
+        tr = Truncation(2, 1)
         grid = make_grid(2, default_half_width(2, 1), 32)
         result = checks.kernel_vs_spectral(random_coeffs(tr, seed=0), tr, grid, ComplexTime(0.5, 0.3))
         assert result.passed, result.detail
@@ -188,7 +188,7 @@ class TestPropagate:
     @pytest.mark.parametrize("n, k_max", [(1, 4), (2, 2)])
     def test_half_period_sign(self, n, k_max):
         # every eigenvalue 2|nu| + n has the parity of n: e^{-i (t + pi) L} = (-1)^n e^{-i t L}
-        tr = enumerate_pairs(n, k_max)
+        tr = Truncation(n, k_max)
         rng = np.random.default_rng(13)
         for t in rng.uniform(-math.pi, 0.0, 8):
             c = random_coeffs(tr, seed=int(rng.integers(2**16)))
@@ -212,7 +212,7 @@ class TestPropagateSamples:
         (2, 1, 10, 6, 4),
     ], ids=["n1-vector", "n1-N1", "n1-N16", "n2-N4"])
     def test_matches_per_pair_reference(self, n, k_max, M, n_t, N):
-        tr = enumerate_pairs(n, k_max)
+        tr = Truncation(n, k_max)
         grid = make_grid(n, default_half_width(n, k_max), M)
         rng = np.random.default_rng(12)
         shape = (len(tr),) if N is None else (len(tr), N)
@@ -225,7 +225,7 @@ class TestPropagateSamples:
     @pytest.mark.parametrize("n, k_max, M", [(1, 4, 48), (2, 1, 10)])
     def test_second_half_is_signed_first_half(self, n, k_max, M):
         # on an even grid t_{a + n_t/2} = t_a + pi, where e^{-i t L} u changes by (-1)^n
-        tr = enumerate_pairs(n, k_max)
+        tr = Truncation(n, k_max)
         grid = make_grid(n, default_half_width(n, k_max), M)
         n_t = 6
         vals = propagate_samples(random_coeffs(tr, seed=14), tr, n_t, grid)

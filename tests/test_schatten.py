@@ -8,7 +8,7 @@ from scipy import integrate, linalg
 from scipy.special import gamma
 
 from specherm.grids import default_half_width, make_grid, mixed_norm, time_nodes
-from specherm.indices import enumerate_pairs
+from specherm.indices import Truncation
 from specherm.propagator import propagate_coeffs, propagate_samples
 from specherm.schatten import (
     _SV_CLAMP,
@@ -31,7 +31,7 @@ from specherm.twisted import cached_basis, inverse_transform
 
 @pytest.fixture(scope="module")
 def small_setup():
-    tr = enumerate_pairs(1, 2)
+    tr = Truncation(1, 2)
     grid = make_grid(1, 9.2, 32)
     n_t = 28  # > 2 * (2*2 + 1 + 8)
     return tr, n_t, grid
@@ -39,7 +39,7 @@ def small_setup():
 
 @pytest.fixture(scope="module")
 def n2_setup():
-    tr = enumerate_pairs(2, 1)
+    tr = Truncation(2, 1)
     grid = make_grid(2, default_half_width(2, 1), 10)
     n_t = 6
     return tr, n_t, grid
@@ -75,7 +75,7 @@ def dense_frame(tr, n_t, grid):
 
 @pytest.fixture(scope="module")
 def kmax4_setup():
-    tr = enumerate_pairs(1, 4)
+    tr = Truncation(1, 4)
     grid = make_grid(1, default_half_width(1, 4), 48)
     n_t = 16
     return tr, n_t, grid
@@ -93,7 +93,7 @@ def node_loop_gram(W, tr, n_t, grid):
     e^{i t_a (lambda_p - lambda_q)}.  The reference for the time-Fourier form.
     """
     basis = cached_basis(tr, grid).reshape(len(tr), -1)
-    lam = np.array(tr.eigenvalues(), dtype=float)
+    lam = np.array(tr.eigenvalues, dtype=float)
     w2 = np.abs(W.reshape(n_t, -1)) ** 2 * (grid.weight_tensor.ravel() / n_t)
     K = np.zeros((len(tr), len(tr)), dtype=complex)
     for t, w2a in zip(time_nodes(n_t), w2):
@@ -105,7 +105,7 @@ def node_loop_gram(W, tr, n_t, grid):
 @pytest.fixture(scope="module")
 def coarse_setup():
     # on this grid the basis Gram is far from the identity
-    tr = enumerate_pairs(1, 2)
+    tr = Truncation(1, 2)
     grid = make_grid(1, 9.2, 10)
     n_t = 28
     return tr, n_t, grid
@@ -186,7 +186,7 @@ class TestPropagationMatrix:
 
     def test_single_pair_unit_column(self, small_setup):
         _, n_t, grid = small_setup
-        tr1 = enumerate_pairs(1, 0)
+        tr1 = Truncation(1, 0)
         K = weighted_gram(np.ones((n_t,) + grid.shape), tr1, grid)
         assert K.shape == (1, 1)
         assert math.sqrt(K[0, 0].real) == pytest.approx(1.0, abs=1e-6)
@@ -239,7 +239,7 @@ class TestWeightedGram:
         # int int rho_gamma |W|^2 dt/2pi dz = sum_j n_j (U^H K(W) U)_jj exactly on
         # the quadrature, at criterion 10's discretization: ties the density
         # synthesis to the weighted Gram
-        tr = enumerate_pairs(1, 6)
+        tr = Truncation(1, 6)
         grid = make_grid(1, default_half_width(1, 6), 48)
         W = next(random_smoothed_weights(n_t, grid, [0]))
         if system == "matched":
@@ -317,7 +317,7 @@ class TestGzWeight:
 
     def test_frame_weights_match_pointwise_weights(self):
         # _t_z_factors forms every (pair, lambda) weight with one Gamma(z + 1)
-        tr, n_t = enumerate_pairs(1, 4), 64
+        tr, n_t = Truncation(1, 4), 64
         grid = make_grid(1, default_half_width(1, 4), 8)
         for z in (0.0, -0.5, 1.3, 0.5j, -0.3 + 0.7j, 2.0 - 1.5j):
             lams, weights = _t_z_factors(z, tr, n_t)
@@ -327,7 +327,7 @@ class TestGzWeight:
             assert np.all(np.abs(weights - want) <= 1e-15 * np.abs(want))
 
     def test_frame_weights_reject_negative_integers(self):
-        tr, n_t = enumerate_pairs(1, 2), 64
+        tr, n_t = Truncation(1, 2), 64
         grid = make_grid(1, default_half_width(1, 2), 8)
         for z in (-2.0, -3.0 + 0.0j):
             with pytest.raises(ValueError, match="negative-integer"):
@@ -356,7 +356,7 @@ class TestBuildTz:
         # G_0 keeps exactly the frequencies strictly above the surface, each
         # contributing a unit singular value, so the trace norm counts them
         cut = default_lambda_cut(tr)
-        kept = sum(1 for ev in tr.eigenvalues() for lam in range(-cut, cut + 1) if lam > ev)
+        kept = sum(1 for ev in tr.eigenvalues for lam in range(-cut, cut + 1) if lam > ev)
         assert t_z_schatten(0.0, tr, n_t, grid, 1.0) == pytest.approx(kept, rel=1e-5)
 
     def test_surface_path_equals_extension_gram(self, small_setup):
@@ -394,7 +394,7 @@ class TestBuildTz:
     @pytest.mark.parametrize("s", [0.0, 0.7])
     def test_imaginary_axis_at_kmax_4(self, s):
         # k_max = 4, M = 48, n_t = 64: a lambda-grid frame here would hold 129 M entries
-        tr = enumerate_pairs(1, 4)
+        tr = Truncation(1, 4)
         grid = make_grid(1, default_half_width(1, 4), 48)
         norm = t_z_schatten(complex(0.0, s), tr, 64, grid, math.inf)
         assert norm == pytest.approx(abs(1.0 / gamma(1.0 + 1j * s)), rel=1e-12)
@@ -436,7 +436,7 @@ class TestSandwich:
             t_z_schatten(0.5j, tr, n_t, grid, 0.5)
 
 
-_PROPERTY_SETUP = (enumerate_pairs(1, 2), make_grid(1, 9.2, 32))
+_PROPERTY_SETUP = (Truncation(1, 2), make_grid(1, 9.2, 32))
 
 
 class TestGramProperties:

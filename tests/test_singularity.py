@@ -56,8 +56,14 @@ class TestProbeConfig:
             ProbeConfig(z=-0.5, tau=1e-4, k_cut=1000)
 
     def test_rejects_zero_time_sample(self):
-        with pytest.raises(ValueError):
-            default_config(-0.5, t_samples=(0.1, 0.0))
+        # the times are an argument of remainder_profile, checked there before any sum
+        with pytest.raises(ValueError, match="avoid 0"):
+            remainder_profile(default_config(-0.5, 1e-4), (0.1, 0.0))
+
+    @pytest.mark.parametrize("ts", [(0.1, 3.2), (math.nan,), ()])
+    def test_rejects_time_samples_off_the_circle_or_none(self, ts):
+        with pytest.raises(ValueError, match=r"\[-pi, pi\]|no time samples"):
+            remainder_profile(default_config(-0.5, 1e-4), ts)
 
     def test_rejects_nonpositive_tau(self):
         with pytest.raises(ValueError):
@@ -256,14 +262,14 @@ class TestRemainderProfile:
         ts = tuple(np.linspace(0.2, math.pi - 0.2, 9))
         sup = {}
         for tau in (1e-4, 1e-5):
-            _, abel, singular = remainder_profile(default_config(-0.5, tau, t_samples=ts))
+            _, abel, singular = remainder_profile(default_config(-0.5, tau), ts)
             sup[tau] = np.abs(abel - singular).max()
         assert abs(sup[1e-4] - sup[1e-5]) / sup[1e-5] < 0.10
 
     def test_z_zero_remainder_matches_closed_form(self):
         ts = (0.3, 0.8, 1.5)
-        cfg = ProbeConfig(z=0.0, tau=1e-4, k_cut=350000, t_samples=ts)
-        times, abel, singular = remainder_profile(cfg)
+        cfg = ProbeConfig(z=0.0, tau=1e-4, k_cut=350000)
+        times, abel, singular = remainder_profile(cfg, ts)
         for t, rem in zip(times, abel - singular):
             want = geometric_closed_form(cfg.tau, t) - singular_term(0.0, t, cfg.tau)
             assert rem == pytest.approx(want, abs=1e-10)
@@ -271,8 +277,7 @@ class TestRemainderProfile:
     def test_remainder_limit_is_zeta(self):
         # the smooth part at t -> 0 equals the analytic continuation zeta(-z)
         for z in (-0.5, -0.25):
-            cfg = default_config(z, 1e-5, t_samples=(0.002,))
-            _, abel, singular = remainder_profile(cfg)
+            _, abel, singular = remainder_profile(default_config(z, 1e-5), (0.002,))
             assert abel[0] - singular[0] == pytest.approx(zeta(-z), abs=5e-3)
 
     def test_abel_sum_matches_zeta_series(self):
@@ -291,7 +296,7 @@ class TestRemainderProfile:
         # the singularity subcommand's grid, far from the t -> 0 window above
         z = -0.5
         ts = tuple(np.linspace(0.2, math.pi - 0.2, 9))
-        times, abel, singular = remainder_profile(default_config(z, tau, t_samples=ts))
+        times, abel, singular = remainder_profile(default_config(z, tau), ts)
         want = np.array([zeta_series(z, complex(tau, t)) for t in times])
         np.testing.assert_allclose(abel - singular, want, rtol=1e-9, atol=0)
 
@@ -304,8 +309,7 @@ class TestRemainderProfile:
         assert slope == pytest.approx(-z - 1, abs=0.05)
 
     def test_remainder_bounded_while_singularity_grows(self):
-        cfg = default_config(-0.5, 1e-4, t_samples=tuple(np.linspace(0.05, 0.5, 10)))
-        _, abel, singular = remainder_profile(cfg)
+        _, abel, singular = remainder_profile(default_config(-0.5, 1e-4), np.linspace(0.05, 0.5, 10))
         assert np.abs(abel - singular).max() < 2.0
         assert abs(singular[0]) > abs(singular[-1])
 
@@ -361,7 +365,7 @@ class TestCsvOutput:
         ]
         ts = tuple(float(row[2]) for row in rows[1:])
         assert len(ts) == 9
-        _, abel, singular = remainder_profile(default_config(-0.5, 1e-4, t_samples=ts))
+        _, abel, singular = remainder_profile(default_config(-0.5, 1e-4), ts)
         for row, a, s in zip(rows[1:], abel, singular):
             assert [float(x) for x in row[:2]] == [-0.5, 0.0]
             assert float(row[3]) == 1e-4

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -8,7 +7,7 @@ import pytest
 from specherm import strichartz, twisted
 from specherm.basis import laguerre_table
 from specherm.grids import default_half_width, make_grid, mixed_norm, time_nodes
-from specherm.indices import enumerate_pairs
+from specherm.indices import Truncation
 from specherm.propagator import propagate_coeffs
 from specherm.strichartz import (
     admissible_exponents,
@@ -16,7 +15,6 @@ from specherm.strichartz import (
     density_norm,
     eigenfunction_growth,
     eigenfunction_system,
-    fit_growth_exponent,
     sample_orthonormal_system,
     sweep,
 )
@@ -117,7 +115,7 @@ class TestDensity:
         if n == 1:
             tr, grid = tr4, grid4
         else:
-            tr = enumerate_pairs(2, 1)
+            tr = Truncation(2, 1)
             grid = make_grid(2, default_half_width(2, 1), 10)
         N = 5
         U = sample_orthonormal_system(tr, N, seed=4)
@@ -136,7 +134,7 @@ class TestDensity:
     @pytest.mark.parametrize("n, k_max, M", [(1, 4, 48), (2, 1, 10)])
     def test_second_half_copies_first_half(self, n, k_max, M):
         # the density is pi-periodic in t and t_{a + n_t/2} = t_a + pi
-        tr = enumerate_pairs(n, k_max)
+        tr = Truncation(n, k_max)
         grid = make_grid(n, default_half_width(n, k_max), M)
         n_t = 6
         d = density(sample_orthonormal_system(tr, 3, seed=2), [1.0, 0.5, 0.25], tr, n_t, grid)
@@ -157,7 +155,7 @@ class TestDensity:
 
     def test_peak_memory_below_one_synthesis_block(self):
         # criterion 10's size: the density never holds all n_t x M^2 x N complex samples at once
-        tr = enumerate_pairs(1, 6)
+        tr = Truncation(1, 6)
         grid = make_grid(1, default_half_width(1, 6), 48)
         n_t = 16
         U = sample_orthonormal_system(tr, len(tr), seed=0)
@@ -173,14 +171,14 @@ class TestDensity:
         assert peak < block_bytes, f"peak {peak / 2**20:.1f} MiB, one block {block_bytes / 2**20:.1f} MiB"
 
     @pytest.mark.parametrize("n, K, M", [(1, 6, 48), (2, 2, 32)])
-    def test_radial_family_matches_laguerre_addition_formula(self, n, K, M, monkeypatch):
+    def test_radial_family_matches_laguerre_addition_formula(self, n, K, M, request):
         # phi_j has coefficient 1/sqrt(d_j) on every pair (nu, nu) with |nu| = j, d_j = C(j+n-1, n-1).
         # By the Laguerre addition formula (Thangavelu 1993) its density is
         # sum_{j <= K} l_j^{(n-1)}(s)^2 / (c_n s^{n-1}), s = |z|^2/2, c_n = (2 pi)^n / (n-1)!,
         # stationary and of mass K + 1.  At n = 2 this reads the a = 1 Laguerre row while
         # the grid route multiplies a = 0 factors, so it does not rest on the product basis.
-        monkeypatch.setattr(twisted, "_BASIS_CACHE", OrderedDict())  # frees the 604 MB n = 2 basis afterwards
-        tr = enumerate_pairs(n, K)
+        request.addfinalizer(twisted._basis.cache_clear)  # frees the 576 MiB n = 2 basis afterwards
+        tr = Truncation(n, K)
         grid = make_grid(n, default_half_width(n, K), M)
         levels = np.where(np.all(tr.mu == tr.nu, axis=1), tr.nu.sum(axis=1), -1)
         coeffs = np.stack([(levels == j) / math.sqrt(math.comb(j + n - 1, n - 1)) for j in range(K + 1)], axis=1)
@@ -198,7 +196,7 @@ class TestDensityNorm:
     @pytest.mark.parametrize("measure", ["dt", "dt/2pi"])
     @pytest.mark.parametrize("n, k_max, M, n_t", [(1, 4, 48, 16), (2, 1, 10, 8)])
     def test_half_period_equals_all_nodes(self, n, k_max, M, n_t, measure):
-        tr = enumerate_pairs(n, k_max)
+        tr = Truncation(n, k_max)
         grid = make_grid(n, default_half_width(n, k_max), M)
         d = density(sample_orthonormal_system(tr, 5, seed=8), [1.0, 0.5, 2.0, 0.25, 1.5], tr, n_t, grid)
         sweep_pairs = [(admissible_exponents(n, q), q) for q in (1.0 + j / (4 * n) for j in (0, 1, 2, 4))]
@@ -232,7 +230,7 @@ class TestStrichartzRatio:
         assert r1 == pytest.approx(r2, rel=1e-12)
 
     def test_eigenfunction_ratios_uniformly_bounded(self, grid4, nt16):
-        tr = enumerate_pairs(1, 4)
+        tr = Truncation(1, 4)
         ratios = [ratio(eigenfunction_system(tr, N), np.ones(N), tr, 2.0, 2.0, nt16, grid4) for N in (1, 5, 10, 20)]
         assert max(ratios) <= 1.0
 
@@ -278,17 +276,6 @@ class TestSweep:
             assert lhs == density_norm(dens, grid4, p, q)
             assert ratio == lhs / rhs
             assert (n, p) == (1, admissible_exponents(1, q))
-
-
-class TestGrowthFit:
-    def test_exact_power_law_recovered(self):
-        sizes = [1, 2, 4, 8, 16]
-        lhs = [float(N) ** 0.75 for N in sizes]
-        assert fit_growth_exponent(sizes, lhs) == pytest.approx(0.75, abs=1e-12)
-
-    def test_needs_two_large_sizes(self):
-        with pytest.raises(ValueError):
-            fit_growth_exponent([1, 2], [1.0, 2.0])
 
 
 class TestValidation:

@@ -1,5 +1,4 @@
 import math
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -14,9 +13,8 @@ from specherm.grids import (
     lp_norm,
     make_grid,
     mixed_norm,
-    sample_field,
 )
-from specherm.indices import enumerate_pairs, multi_indices
+from specherm.indices import Truncation, multi_indices
 from specherm.propagator import ComplexTime, mehler_kernel_field
 from specherm.schatten import random_smoothed_weights, weighted_gram
 from specherm.strichartz import density
@@ -42,7 +40,7 @@ def mode(tr, grid, mu, nu):
 
 def phi_k_field(k, grid):
     """Diagonal eigenspace sum phi_k sampled on the grid."""
-    return sample_field(grid, lambda *zs: phi_k(k, np.stack(zs, axis=-1), grid.n))
+    return Field(grid, phi_k(k, np.stack(grid.zeta_coords(), axis=-1), grid.n))
 
 
 def project_k(f, k):
@@ -157,12 +155,12 @@ class TestTwistedConvolve:
         # bound, 1e-3 on the largest entry error against a result of size ~1, was fixed before
         # the first run: on L = 7, M = 16 (h = 0.93) the phase aliasing exp(-(2 pi / h)^2 / 4)
         # and the Gaussian tail at the edge are both ~1e-5.
-        tr = enumerate_pairs(2, 1)
+        tr = Truncation(2, 1)
         grid = make_grid(2, 7.0, 16)
         basis = cached_basis(tr, grid)
 
         # g = Phi_{(1,0)(0,1)} = Phi_10 (x) Phi_01, passed as its two one-coordinate factors
-        plane, tr1 = make_grid(1, 7.0, 16), enumerate_pairs(1, 1)
+        plane, tr1 = make_grid(1, 7.0, 16), Truncation(1, 1)
         g = (mode(tr1, plane, 1, 0), mode(tr1, plane, 0, 1))
         np.testing.assert_array_equal(np.multiply.outer(g[0].values, g[1].values), basis[position(tr, (1, 0), (0, 1))])
         matched, unmatched = position(tr, (0, 1), (1, 0)), position(tr, (0, 0), (0, 1))
@@ -183,7 +181,7 @@ class TestTwistedConvolve:
 
     def test_n2_matches_reference(self):
         # n = 2, g = g_1 (x) g_2: one n = 1 pass per coordinate against the gather over the product field
-        tr = enumerate_pairs(2, 1)
+        tr = Truncation(2, 1)
         grid = make_grid(2, default_half_width(2, 1), 8)
         f = random_band_limited(tr, grid, seed=3)[1]
         g = random_factors(grid, seed=4)
@@ -330,7 +328,7 @@ class TestConvolutionProperties:
     @given(picks=st.lists(st.integers(0, 8), min_size=3, max_size=3))
     def test_associative_on_modes(self, picks, grid4):
         # (f x g) x h = f x (g x h) for basis modes with k_max = 2, to criterion 2's 1e-4
-        tr = enumerate_pairs(1, 2)
+        tr = Truncation(1, 2)
         f, g, h = (Field(grid4, cached_basis(tr, grid4)[i]) for i in picks)
         left = twisted_convolve(twisted_convolve(f, g), h).values
         right = twisted_convolve(f, twisted_convolve(g, h)).values
@@ -365,13 +363,14 @@ class TestTransforms:
         np.testing.assert_array_equal(cached_basis(tr4, grid4)[0], before)
 
     def test_cached_basis_is_bounded_lru(self):
-        tr, grid = enumerate_pairs(1, 1), make_grid(1, 6.0, 16)
+        tr, grid = Truncation(1, 1), make_grid(1, 6.0, 16)
         first = cached_basis(tr, grid)
         assert cached_basis(tr, grid) is first  # a hit is the same object
         assert not first.flags.writeable
-        for M in range(18, 18 + 2 * twisted._BASIS_CACHE_SIZE, 2):  # evicts (tr, grid)
+        size = twisted._basis.cache_info().maxsize
+        for M in range(18, 18 + 2 * size, 2):  # evicts (tr, grid)
             cached_basis(tr, make_grid(1, 6.0, M))
-        assert len(twisted._BASIS_CACHE) == twisted._BASIS_CACHE_SIZE
+        assert twisted._basis.cache_info().currsize == size
         rebuilt = cached_basis(tr, grid)
         assert rebuilt is not first
         np.testing.assert_array_equal(rebuilt, first)
@@ -379,11 +378,11 @@ class TestTransforms:
         assert cached_basis(tr, grid) is rebuilt
 
     @pytest.mark.parametrize("tr_n, grid_n", [(2, 1), (1, 2)])
-    def test_dimension_mismatch_rejected_before_any_basis(self, tr_n, grid_n, monkeypatch):
+    def test_dimension_mismatch_rejected_before_any_basis(self, tr_n, grid_n):
         # every basis consumer passes through cached_basis; an n = 2, k_max 1 truncation on an
         # n = 1, M = 16 grid would otherwise build and cache a (9, 16^4) basis, then fail in numpy
-        monkeypatch.setattr(twisted, "_BASIS_CACHE", OrderedDict())
-        tr, grid = enumerate_pairs(tr_n, 1), make_grid(grid_n, 8.0, 16)
+        twisted._basis.cache_clear()
+        tr, grid = Truncation(tr_n, 1), make_grid(grid_n, 8.0, 16)
         calls = [
             lambda: checks.gram_identity(tr, grid),
             lambda: density(np.eye(len(tr), 1), [1.0], tr, 4, grid),
@@ -393,7 +392,7 @@ class TestTransforms:
         for call in calls:
             with pytest.raises(ValueError, match=f"dimension n = {tr_n} on a grid of dimension n = {grid_n}"):
                 call()
-        assert not twisted._BASIS_CACHE
+        assert twisted._basis.cache_info().currsize == 0
 
     def test_inverse_of_zero(self, tr4, grid4):
         c = np.zeros(len(tr4), dtype=complex)
@@ -441,7 +440,7 @@ class TestProjections:
     def test_n2_convolution_and_spectral_paths_agree(self):
         # phi_1 at n = 2 is phi_1 (x) phi_0 + phi_0 (x) phi_1: one convolution per term; M = 32 is
         # the grid on which the n = 2 kernel path meets 1e-6 (see the kernel-vs-spectral check)
-        tr = enumerate_pairs(2, 1)
+        tr = Truncation(2, 1)
         grid = make_grid(2, default_half_width(2, 1), 32)
         _, f = random_band_limited(tr, grid, seed=8)
         via_conv = project_k(f, 1)
