@@ -25,8 +25,8 @@ from .indices import Truncation, multi_indices
 _I_POWERS = np.array([1, 1j, -1, -1j])
 
 
-def laguerre_table(k_max: int, s) -> np.ndarray:
-    """Normalized Laguerre functions T[a, j, ...] = l_j^a(s) for a + j <= k_max; zero elsewhere.
+def laguerre_row(a: int, j_max: int, s) -> np.ndarray:
+    """Normalized Laguerre functions R[j, ...] = l_j^a(s) of one order a, for j <= j_max.
 
     l_j^a(s) = (j! / (j + a)!)^{1/2} s^{a/2} e^{-s/2} L_j^{(a)}(s), from
     l_0^a = exp((a ln s - s - ln a!) / 2) and
@@ -34,15 +34,21 @@ def laguerre_table(k_max: int, s) -> np.ndarray:
     """
     s = np.asarray(s, dtype=float)
     with np.errstate(divide="ignore"):
-        log_s = np.log(s)
-    table = np.zeros((k_max + 1, k_max + 1) + s.shape)
+        a_log_s = a * np.log(s) if a else 0.0  # a ln s is 0 at a = 0, also at s = 0
+    row = np.empty((j_max + 1,) + s.shape)
+    ell_prev, ell = 0.0, np.exp(0.5 * (a_log_s - s - math.lgamma(a + 1)))
+    for j in range(j_max + 1):
+        row[j] = ell
+        ell_next = ((2 * j + 1 + a - s) * ell - math.sqrt(j * (j + a)) * ell_prev) / math.sqrt((j + 1) * (j + 1 + a))
+        ell, ell_prev = ell_next, ell
+    return row
+
+
+def laguerre_table(k_max: int, s) -> np.ndarray:
+    """Normalized Laguerre functions T[a, j, ...] = l_j^a(s) of ``laguerre_row`` for a + j <= k_max; zero elsewhere."""
+    table = np.zeros((k_max + 1, k_max + 1) + np.shape(s))
     for a in range(k_max + 1):
-        # a ln s is 0 at a = 0, also at s = 0
-        ell_prev, ell = 0.0, np.exp(0.5 * ((a * log_s if a else 0.0) - s - math.lgamma(a + 1)))
-        for j in range(k_max + 1 - a):
-            table[a, j] = ell
-            ell_next = ((2 * j + 1 + a - s) * ell - math.sqrt(j * (j + a)) * ell_prev) / math.sqrt((j + 1) * (j + 1 + a))
-            ell, ell_prev = ell_next, ell
+        table[a, : k_max + 1 - a] = laguerre_row(a, k_max - a, s)
     return table
 
 

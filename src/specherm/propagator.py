@@ -129,11 +129,14 @@ def propagate_samples(coeffs, tr: Truncation, n_t: int, grid: GridSpec) -> np.nd
     ``coeffs`` holds the coefficients of u over ``tr``; a matrix with one
     column per function gives a trailing function axis.  Returns shape
     (n_t, *grid.shape) or (n_t, *grid.shape, N).  On an even grid only the
-    first half of the nodes is synthesized; the second is (-1)^n times it.
+    first half of the nodes is synthesized; the second is (-1)^n times it.  Any other
+    coefficient shape raises ``ValueError`` before the basis is read.
     """
+    c = np.asarray(coeffs, dtype=complex)
+    if c.ndim not in (1, 2) or c.shape[0] != len(tr):
+        raise ValueError(f"coefficient array of shape {c.shape} is neither ({len(tr)},) nor ({len(tr)}, N)")
     half = _half_period_nodes(n_t)
     half_nodes = time_nodes(n_t)[:half]
-    c = np.asarray(coeffs, dtype=complex)
     levels, parts = level_parts(c, tr, grid)
     vals = np.empty((n_t, parts.shape[1]), dtype=complex)
     synthesize(levels, parts, half_nodes, out=vals[:half])

@@ -238,8 +238,11 @@ def random_smoothed_weights(n_t: int, grid: GridSpec, seeds: Iterable[int]) -> I
     smoothed by one application of the semigroup (via its closed-form
     kernel), then the whole field is normalized to unit L^4_t L^4_z norm
     (``mixed_norm`` with measure dt/2pi).  One convolver serves every seed, so the kernel's
-    spectrum is built once and released with the generator.
+    spectrum is built once and released with the generator.  n_t < 1 raises ``ValueError`` before
+    the kernel is built or any noise is drawn.
     """
+    if n_t < 1:
+        raise ValueError(f"need n_t >= 1 time nodes, got n_t = {n_t}")
     kernel = mehler_kernel_field(ComplexTime(0.2, 0.0), make_grid(1, grid.L, grid.M))
     smoothing = TwistedConvolver((kernel,) * grid.n)
     raw = np.empty((n_t,) + grid.shape, dtype=complex)

@@ -9,10 +9,12 @@ makes time sweeps cheap.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
-from .grids import GridSpec, mixed_norm, time_nodes
+from .basis import laguerre_row
+from .grids import GridSpec, _read_only, mixed_norm, time_nodes
 from .indices import Truncation
 from .propagator import _half_period_nodes, level_parts, synthesize
 
@@ -142,3 +144,35 @@ def eigenfunction_growth(tr: Truncation, n_t: int, grid: GridSpec, sizes) -> flo
            for N in fit_sizes]
     return float(np.polyfit(np.log(fit_sizes), np.log(lhs), 1)[0])
 
+
+def radial_family_density(n: int, K: int, s) -> np.ndarray:
+    """Density sum_{j <= K} l_j^{(n-1)}(s)^2 / (c_n s^{n-1}), c_n = (2 pi)^n / (n-1)!, of the radial family at s = |z|^2/2.
+
+    The family is gamma_K = sum_{j <= K} |phi_j><phi_j|, phi_j the normalized U(n)-radial eigenfunction of
+    level 2j + n (Thangavelu 1993): stationary, of mass K + 1 under dz = c_n s^{n-1} ds, and C(K+n, n) / (2 pi)^n
+    at the origin, where at n >= 2 this form is 0/0.
+    """
+    if n < 1 or K < 0:
+        raise ValueError(f"need n >= 1 and K >= 0, got n = {n}, K = {K}")
+    s = np.asarray(s, dtype=float)
+    ell = laguerre_row(n - 1, K, s)
+    return (ell * ell).sum(axis=0) * math.factorial(n - 1) / ((2.0 * math.pi) ** n * s ** (n - 1))
+
+
+@lru_cache(maxsize=8)
+def _s_grid(K: int) -> tuple[np.ndarray, np.ndarray]:
+    """12K + 200 Gauss-Legendre nodes in s on [0, 4K + 80] and their weights, read-only (``leggauss`` takes seconds at K 256)."""
+    x, w = np.polynomial.legendre.leggauss(12 * K + 200)
+    return _read_only((2 * K + 40) * (x + 1.0)), _read_only((2 * K + 40) * w)
+
+
+def radial_family_ratio(n: int, K: int, q: float) -> float:
+    """Quotient ||rho_K||_{L^q(C^n)} / (K + 1)^{(q+1)/(2q)} of ``radial_family_density``, on the nodes of ``_s_grid``.
+
+    gamma_K is stationary, so under dt/2pi its L^p_t L^q_z norm is this L^q norm for every p.
+    """
+    if not q >= 1:  # NaN fails the comparison
+        raise ValueError("exponent must be >= 1")
+    s, w = _s_grid(K)
+    dz = (2.0 * math.pi) ** n / math.factorial(n - 1) * s ** (n - 1) * w
+    return float(np.sum(radial_family_density(n, K, s) ** q * dz)) ** (1.0 / q) / (K + 1) ** ((q + 1) / (2 * q))

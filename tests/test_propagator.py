@@ -1,12 +1,13 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specherm import checks
+from specherm import checks, propagator
 from specherm.grids import Field, default_half_width, lp_norm, make_grid, time_nodes
 from specherm.indices import Truncation
 from specherm.propagator import (
@@ -221,6 +222,20 @@ class TestPropagateSamples:
         got = propagate_samples(coeffs, tr, n_t, grid)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("extra", [
+        lambda P: (2 * P,),  # was read as P x 2 and failed at the last reshape
+        lambda P: (P + 1,),  # was read as (P, newaxis) and failed there
+        lambda P: (P + 1, 2),
+        lambda P: (P, 2, 1),
+        lambda P: (),
+    ], ids=["twice-length", "one-too-long", "one-row-too-many", "three-axes", "scalar"])
+    def test_rejects_malformed_coefficients_before_the_basis(self, extra, monkeypatch):
+        tr, grid = Truncation(1, 2), make_grid(1, 6.0, 16)
+        monkeypatch.setattr(propagator, "cached_basis", lambda *args: pytest.fail("basis read"))
+        shape = extra(len(tr))
+        with pytest.raises(ValueError, match=re.escape(f"shape {shape} is neither (9,) nor (9, N)")):
+            propagate_samples(np.ones(shape), tr, 4, grid)
 
     @pytest.mark.parametrize("n, k_max, M", [(1, 4, 48), (2, 1, 10)])
     def test_second_half_is_signed_first_half(self, n, k_max, M):

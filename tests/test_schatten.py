@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import integrate, linalg
 from scipy.special import gamma
 
+from specherm import twisted
 from specherm.grids import default_half_width, make_grid, mixed_norm, time_nodes
 from specherm.indices import Truncation
 from specherm.propagator import propagate_coeffs, propagate_samples
@@ -420,6 +421,14 @@ class TestSandwich:
         K = weighted_gram(W, tr, grid)  # same nonzero spectrum as the sandwich
         evals = np.linalg.eigvalsh(K)
         assert evals.min() >= -1e-8 * evals.max()
+
+    @pytest.mark.parametrize("n_t", [0, -1])
+    def test_random_weights_reject_node_count_before_any_work(self, n_t, monkeypatch):
+        calls = []
+        monkeypatch.setattr(twisted, "_kernel_spectrum", lambda g: calls.append(g))
+        with pytest.raises(ValueError, match=f"got n_t = {n_t}"):
+            next(random_smoothed_weights(n_t, make_grid(1, 6.0, 16), [0]))
+        assert calls == []
 
     def test_shape_mismatch(self, small_setup):
         tr, n_t, grid = small_setup

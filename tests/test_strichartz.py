@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from specherm import strichartz, twisted
 from specherm.basis import laguerre_table
@@ -15,6 +16,8 @@ from specherm.strichartz import (
     density_norm,
     eigenfunction_growth,
     eigenfunction_system,
+    radial_family_density,
+    radial_family_ratio,
     sample_orthonormal_system,
     sweep,
 )
@@ -177,6 +180,7 @@ class TestDensity:
         # sum_{j <= K} l_j^{(n-1)}(s)^2 / (c_n s^{n-1}), s = |z|^2/2, c_n = (2 pi)^n / (n-1)!,
         # stationary and of mass K + 1.  At n = 2 this reads the a = 1 Laguerre row while
         # the grid route multiplies a = 0 factors, so it does not rest on the product basis.
+        # The grid density is also the oracle of the 1-D route's density, point by point.
         request.addfinalizer(twisted._basis.cache_clear)  # frees the 576 MiB n = 2 basis afterwards
         tr = Truncation(n, K)
         grid = make_grid(n, default_half_width(n, K), M)
@@ -190,6 +194,65 @@ class TestDensity:
         assert np.abs(rho - rho[0]).max() <= 1e-12 * top
         assert np.abs(rho[0] - want).max() <= 1e-12 * top
         assert abs(np.sum(rho[0] * grid.weight_tensor) - (K + 1)) <= 1e-6 * (K + 1)
+        np.testing.assert_allclose(radial_family_density(n, K, s), rho[0], rtol=0, atol=1e-12 * top)
+
+    def test_radial_family_ratio_matches_grid_route(self):
+        # the grid's trapezoid rule resolves rho^q only on finer grids than rho itself: at K 6 the
+        # q = 2 and q = 3 norms are off by 1.6e-3 and 1.8e-2 at M 48, and by 1.5e-12 and 2.4e-12 at M 96
+        n, K, M = 1, 6, 96
+        tr, grid = Truncation(n, K), make_grid(n, default_half_width(n, K), M)
+        coeffs = np.stack([np.all(tr.mu == tr.nu, axis=1) & (tr.nu.sum(axis=1) == j) for j in range(K + 1)], axis=1) * 1.0
+        rho = density(coeffs, np.ones(K + 1), tr, 16, grid)
+        for q in (2.0, 3.0):  # q = 2 and q_c = (2n+1)/(2n-1)
+            for p in (1.0, q):  # stationary: any p gives the same norm
+                grid_ratio = density_norm(rho, grid, p, q, measure="dt/2pi") / (K + 1) ** ((q + 1) / (2 * q))
+                assert radial_family_ratio(n, K, q) == pytest.approx(grid_ratio, rel=1e-9, abs=0)
+
+
+class TestRadialFamily:
+    # the 1-D route of the radial family: gamma_K = sum_{j <= K} |phi_j><phi_j| as a function of s = |z|^2/2
+
+    @pytest.mark.parametrize("K", [6, 16])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_mass_is_system_size(self, n, K):
+        s, w = strichartz._s_grid(K)
+        c_n = (2 * math.pi) ** n / math.factorial(n - 1)
+        mass = np.sum(radial_family_density(n, K, s) * c_n * s ** (n - 1) * w)
+        assert mass == pytest.approx(K + 1, rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("K", [6, 16])
+    @pytest.mark.parametrize("n, s, rel", [(1, 0.0, 1e-12), (2, 1e-10, 1e-8), (3, 1e-10, 1e-8)])
+    def test_value_at_origin(self, n, K, s, rel):
+        # Phi_{mu nu}(0) = (2 pi)^{-n/2} delta_{mu nu}; at n >= 2 the closed form is 0/0 at s = 0
+        assert radial_family_density(n, K, s) == pytest.approx(math.comb(K + n, n) / (2 * math.pi) ** n, rel=rel)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_ratio_matches_adaptive_quadrature(self, n):
+        # no grid resolves rho^q at n >= 2 within reach of the basis, so scipy's quad is the oracle of the s integral
+        K, c_n = 6, (2 * math.pi) ** n / math.factorial(n - 1)
+        for q in (2.0, (2 * n + 1) / (2 * n - 1)):
+            integral, _ = quad(lambda s: radial_family_density(n, K, s) ** q * c_n * s ** (n - 1), 0.0, 200.0, epsabs=0.0, epsrel=1e-13, limit=400)
+            want = integral ** (1 / q) / (K + 1) ** ((q + 1) / (2 * q))
+            assert radial_family_ratio(n, K, q) == pytest.approx(want, rel=1e-9, abs=0)
+
+    def test_ratio_grows_past_q_c(self):
+        # sigma(q) = ((2n-1) q - (2n+1)) / (2q) is positive past q_c = (2n+1)/(2n-1); the band is sigma/10
+        sizes = (64, 128, 256)
+        cases = {(1, 4.0): [], (2, 2.0): []}
+        for K in sizes:  # K outermost: the cases at one K share its s-grid
+            for (n, q), ratios in cases.items():
+                ratios.append(radial_family_ratio(n, K, q))
+        for (n, q), ratios in cases.items():
+            sigma = ((2 * n - 1) * q - (2 * n + 1)) / (2 * q)
+            slope = np.polyfit(np.log(sizes), np.log(ratios), 1)[0]
+            assert abs(slope - sigma) <= sigma / 10, (n, q, slope)
+
+    def test_rejects_bad_arguments(self):
+        for n, K in ((0, 4), (1, -1)):
+            with pytest.raises(ValueError, match="need n >= 1 and K >= 0"):
+                radial_family_density(n, K, 1.0)
+        with pytest.raises(ValueError, match="exponent"):
+            radial_family_ratio(1, 4, 0.5)
 
 
 class TestDensityNorm:
