@@ -61,7 +61,10 @@ def _sh1d(mu, nu, x, y) -> np.ndarray:
     radial = laguerre_table(k_max, 0.5 * (x * x + y * y))[np.abs(d), np.minimum(mu, nu)]
     # e^{-i d theta} for every d in [-k_max, k_max], built once and indexed per row
     phases = np.exp(-1j * np.arange(-k_max, k_max + 1)[point_axes] * np.arctan2(y, x))
-    return (2.0 * math.pi) ** (-0.5) * _I_POWERS[np.abs(d) % 4][point_axes] * phases[d + k_max] * radial
+    rows = np.atleast_1d(d)  # an index array, so the phase rows are copied: the result, multiplied in place
+    out = phases[rows + k_max]
+    np.multiply((2.0 * math.pi) ** (-0.5) * _I_POWERS[np.abs(rows) % 4][point_axes], out, out=out)
+    return np.multiply(out, radial, out=out).reshape(d.shape + x.shape)
 
 
 def special_hermite(mu, nu, zeta) -> complex:
@@ -111,6 +114,8 @@ def basis_matrix(tr: Truncation, grid) -> np.ndarray:
     x, y = np.meshgrid(grid.axis, grid.axis, indexing="ij")
     degrees = np.arange(tr.k_max + 1)
     table = _sh1d(degrees[:, None], degrees[None, :], x, y)
+    if tr.n == 1:  # table[mu, nu] is already in the truncation's order, mu slowest
+        return table.reshape((len(tr),) + grid.shape)
     out = table[tr.mu[:, 0], tr.nu[:, 0]]
     for j in range(1, tr.n):
         factor = table[tr.mu[:, j], tr.nu[:, j]]

@@ -90,22 +90,27 @@ def propagate_coeffs(c, tr: Truncation, t: float) -> np.ndarray:
     return evolve_spectral(c, tr, ComplexTime.reduced(0.0, t))
 
 
-def level_parts(coeffs, tr: Truncation, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The eigenvalue levels of ``tr`` and the part of u in each level's eigenspace.
+def level_parts(coeffs, tr: Truncation, grid: GridSpec, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalue levels 2d + n of ``tr`` and the part P_d of u in each level's eigenspace.
 
-    e^{-i t L} multiplies the eigenspace of the level lambda_i by the one phase
-    e^{-i t lambda_i}, so e^{-i t L} u = sum_i e^{-i t lambda_i} B_i^T C_i, with
-    B_i the basis rows and C_i the coefficient rows of the pairs at that level.
-    ``coeffs`` is as in ``propagate_samples``; the parts B_i^T C_i have shape
-    (levels, grid.size * N), the function axis innermost.
+    e^{-i t L} multiplies each eigenspace by one phase, so e^{-i t L} u = sum_d e^{-i t (2d + n)} P_d.
+    ``tr`` orders its S^2 pairs with mu slowest and nu fastest, so the basis rows with nu = nu_k are the
+    strided view B[:, k] of the basis as (S, S, grid.size), which BLAS reads in place, and
+    P_d = sum_{|nu_k| = d} B[:, k]^T C[:, k].  ``coeffs`` is as in ``propagate_samples``; the parts, of
+    shape (levels, grid.size * N) with the function axis innermost, go into ``out`` if it is given.
     """
-    c = np.asarray(coeffs, dtype=complex).reshape(len(tr), -1)
-    basis = cached_basis(tr, grid).reshape(len(tr), -1)
-    levels, blocks = tr.level_blocks
-    parts = np.empty((len(levels), basis.shape[1], c.shape[1]), dtype=complex)
-    for part, block in zip(parts, blocks):
-        np.matmul(basis[block].T, c[block], out=part)
-    return levels, parts.reshape(len(levels), -1)
+    S = math.isqrt(len(tr))
+    c = np.asarray(coeffs, dtype=complex).reshape(S, S, -1)
+    basis = cached_basis(tr, grid).reshape(S, S, -1)
+    degrees = tr.nu[:S].sum(axis=1)  # |nu_k|, nondecreasing in k
+    shape = (tr.k_max + 1, basis.shape[2], c.shape[2])
+    parts = np.empty(shape, dtype=complex) if out is None else out.reshape(shape)
+    for k, d in enumerate(degrees):
+        if k and degrees[k - 1] == d:
+            parts[d] += basis[:, k].T @ c[:, k]
+        else:
+            np.matmul(basis[:, k].T, c[:, k], out=parts[d])
+    return tr.level_blocks[0], parts.reshape(len(parts), -1)
 
 
 def _half_period_nodes(n_t: int) -> int:

@@ -18,8 +18,7 @@ from .grids import GridSpec, _read_only, mixed_norm, time_nodes
 from .indices import Truncation
 from .propagator import _half_period_nodes, level_parts, synthesize
 
-# complex entries of e^{-i t L} u_j that ``density`` holds at a time (at least one
-# time node): a chunk squared in one reused buffer, never the whole (n_t, M^2n, N) block
+# complex entries that ``density`` holds beyond its result: one pass's level parts and synthesized nodes
 _CHUNK_ENTRIES = 2**19
 
 
@@ -63,11 +62,12 @@ def eigenfunction_system(tr: Truncation, N: int) -> np.ndarray:
 def density(coeffs: np.ndarray, nj: np.ndarray, tr: Truncation, n_t: int, grid: GridSpec) -> np.ndarray:
     """Pointwise density sum_j n_j |e^{-i t L} u_j|^2 at the n_t ``time_nodes``, shape (n_t, *grid.shape).
 
-    ``coeffs`` holds the system's coefficient vectors u_j over ``tr`` as its
-    N columns and ``nj`` the N real weights.  Synthesized from the level parts
-    of the system one chunk of time nodes at a time.  The density is
-    pi-periodic in t, so on an even grid only the first half of the nodes is
-    synthesized and squared, and the second half is a copy of it.
+    ``coeffs`` holds the system's coefficient vectors u_j over ``tr`` as its N columns and ``nj`` the
+    N real weights.  The columns go in passes of as many as fit their level parts and synthesized half
+    period into ``_CHUNK_ENTRIES`` complex entries, and at least one; only a column that fills it alone
+    has its nodes split into chunks, each given the entries its parts leave free.  So for every N the
+    memory beyond the result stays near that budget.  The density is pi-periodic in t, so on an even
+    grid only the first half of the nodes is synthesized and squared, and the second half is a copy.
     """
     coeffs = np.asarray(coeffs)
     weights = np.asarray(nj, dtype=float)
@@ -79,17 +79,23 @@ def density(coeffs: np.ndarray, nj: np.ndarray, tr: Truncation, n_t: int, grid: 
         raise ValueError("weights must be finite")
     half = _half_period_nodes(n_t)
     half_nodes = time_nodes(n_t)[:half]
-    levels, parts = level_parts(coeffs, tr, grid)
-    step = max(1, _CHUNK_ENTRIES // max(1, parts.shape[1]))
-    buf = np.empty((min(step, half), parts.shape[1]), dtype=complex)
-    out = np.empty((n_t, grid.size))
-    w2 = np.repeat(weights, 2)
-    for start in range(0, half, step):
-        nodes = half_nodes[start : start + step]
-        # |u|^2 = re^2 + im^2: square the interleaved parts in place, weight both by n_j
-        sq = synthesize(levels, parts, nodes, out=buf[: len(nodes)]).view(np.float64)
-        sq *= sq
-        out[start : start + len(nodes)] = (sq.reshape(len(nodes) * grid.size, -1) @ w2).reshape(len(nodes), -1)
+    n_levels = tr.k_max + 1
+    cols = max(1, _CHUNK_ENTRIES // (grid.size * (n_levels + half)))
+    width = grid.size * min(cols, len(weights))  # entries per level or per node of the widest pass
+    step = max(1, (_CHUNK_ENTRIES - n_levels * width) // max(1, width))
+    work = np.empty((n_levels + min(step, half)) * width, dtype=complex)  # reused by every pass
+    out = np.zeros((n_t, grid.size))
+    for first in range(0, len(weights), cols):
+        w2 = np.repeat(weights[first : first + cols], 2)
+        m = grid.size * len(w2) // 2
+        levels, parts = level_parts(coeffs[:, first : first + cols], tr, grid, out=work[: n_levels * m])
+        for start in range(0, half, step):
+            nodes = half_nodes[start : start + step]
+            buf = work[n_levels * m : (n_levels + len(nodes)) * m].reshape(len(nodes), m)
+            # |u|^2 = re^2 + im^2: square the interleaved parts in place, weight both by n_j
+            sq = synthesize(levels, parts, nodes, out=buf).view(np.float64)
+            sq *= sq
+            out[start : start + len(nodes)] += (sq.reshape(len(nodes) * grid.size, -1) @ w2).reshape(len(nodes), -1)
     out.reshape(-1, half, grid.size)[1:] = out[:half]
     return out.reshape((n_t,) + grid.shape)
 
@@ -161,9 +167,23 @@ def radial_family_density(n: int, K: int, s) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _s_grid(K: int) -> tuple[np.ndarray, np.ndarray]:
-    """12K + 200 Gauss-Legendre nodes in s on [0, 4K + 80] and their weights, read-only (``leggauss`` takes seconds at K 256)."""
-    x, w = np.polynomial.legendre.leggauss(12 * K + 200)
-    return _read_only((2 * K + 40) * (x + 1.0)), _read_only((2 * K + 40) * w)
+    """m = 12K + 200 Gauss-Legendre nodes in s on [0, 4K + 80] and their weights, read-only.
+
+    Newton's method on P_m from x_k = -cos(pi (k - 1/4) / (m + 1/2)), all nodes at once, with P_m and
+    P_{m-1} from the three-term recurrence and weights 2 / ((1 - x^2) P_m'(x)^2): O(m^2) work.
+    """
+    m = 12 * K + 200
+    x = -np.cos(np.pi * (np.arange(1, m + 1) - 0.25) / (m + 0.5))
+    for _ in range(100):
+        p_prev, p = np.ones_like(x), x
+        for j in range(2, m + 1):
+            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+        dp = m * (x * p - p_prev) / (x * x - 1.0)
+        step = p / dp
+        x = x - step
+        if np.abs(step).max() <= 1e-15:
+            break
+    return _read_only((2 * K + 40) * (x + 1.0)), _read_only((2 * K + 40) * 2.0 / ((1.0 - x * x) * dp * dp))
 
 
 def radial_family_ratio(n: int, K: int, q: float) -> float:

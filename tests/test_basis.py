@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 from functools import reduce
 from itertools import product
 
 import numpy as np
 import pytest
 from quadrature_oracle import _sh1d_table, default_quad_order, hermite_1d
+from reference_basis import reference_basis_matrix
 from scipy import integrate
 from scipy.special import eval_genlaguerre, gammaln
 
@@ -148,6 +150,24 @@ class TestBasisMatrix:
         for i, (mu, nu) in enumerate(zip(tr.mu.tolist(), tr.nu.tolist())):
             want = reduce(np.multiply.outer, [rows[row_of[m, v]] for m, v in zip(mu, nu)])
             np.testing.assert_array_equal(got[i], want)
+
+
+    @pytest.mark.parametrize("n, k_max, M", [(1, 16, 84), (1, 6, 48), (2, 2, 16), (3, 1, 8), (1, 0, 8)])
+    def test_bitwise_equal_to_reference_builder(self, n, k_max, M):
+        # the in-place products and the n = 1 table read in place change no bit
+        tr, grid = Truncation(n, k_max), make_grid(n, default_half_width(n, k_max), M)
+        assert np.array_equal(basis_matrix(tr, grid), reference_basis_matrix(tr, grid))
+
+    def test_peak_memory_near_result(self):
+        # the reference builder peaks at 2.6 times its result here (81.5 MiB for 31.1 MiB)
+        tr, grid = Truncation(1, 16), make_grid(1, default_half_width(1, 16), 84)
+        tracemalloc.start()
+        try:
+            result = basis_matrix(tr, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * result.nbytes, f"peak {peak / 2**20:.1f} MiB for a {result.nbytes / 2**20:.1f} MiB result"
 
 
 class TestPhiK:

@@ -1,13 +1,14 @@
 import cmath
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specherm import checks, propagator
+from specherm import checks, propagator, twisted
 from specherm.grids import Field, default_half_width, lp_norm, make_grid, time_nodes
 from specherm.indices import Truncation
 from specherm.propagator import (
@@ -255,3 +256,37 @@ class TestPropagateSamples:
         rotated_first = synthesize(*level_parts(propagate_coeffs(c, tr4, s), tr4, grid4), time_nodes(nt16))
         shifted_nodes = synthesize(*level_parts(c, tr4, grid4), time_nodes(nt16) + s)
         assert np.abs(rotated_first - shifted_nodes).max() <= 1e-12 * np.abs(shifted_nodes).max()
+
+
+class TestLevelParts:
+    @pytest.mark.parametrize("n, k_max, M, N", [(1, 4, 48, 3), (2, 2, 10, 4), (3, 1, 8, 2)])
+    def test_strided_parts_match_per_level_products(self, n, k_max, M, N):
+        # reference: the basis rows of each eigenvalue level, copied out by index, times their coefficients
+        tr = Truncation(n, k_max)
+        grid = make_grid(n, default_half_width(n, k_max), M)
+        rng = np.random.default_rng(31)
+        c = rng.standard_normal((len(tr), N)) + 1j * rng.standard_normal((len(tr), N))
+        basis = cached_basis(tr, grid).reshape(len(tr), -1)
+        levels, parts = level_parts(c, tr, grid)
+        want_levels, blocks = tr.level_blocks
+        assert np.array_equal(levels, want_levels)
+        want = np.stack([(basis[block].T @ c[block]).ravel() for block in blocks])
+        assert parts.shape == want.shape
+        assert np.abs(parts - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_peak_memory_is_result_plus_two_level_terms(self, request):
+        # the basis rows are read in place: at n = 2, K 2, M 32 a copy of the largest level's
+        # rows alone would be 288 MiB, against a 48 MiB result and 16 MiB per level term
+        request.addfinalizer(twisted._basis.cache_clear)  # frees the 576 MiB basis afterwards
+        tr = Truncation(2, 2)
+        grid = make_grid(2, default_half_width(2, 2), 32)
+        c = random_coeffs(tr, seed=3)[:, None]
+        cached_basis(tr, grid)
+        tracemalloc.start()
+        try:
+            parts = level_parts(c, tr, grid)[1]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        term = grid.size * np.dtype(complex).itemsize
+        assert peak <= parts.nbytes + 2 * term, f"peak {peak / 2**20:.1f} MiB, parts {parts.nbytes / 2**20:.1f} MiB"

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -145,8 +146,8 @@ class TestDensity:
 
     @pytest.mark.parametrize("nodes_per_chunk", [0, 3])
     def test_chunked_density_matches_one_chunk(self, nodes_per_chunk, tr4, grid4, nt16, monkeypatch):
-        # 0: a chunk holds less than one node, so each node is its own chunk;
-        # 3: 16 nodes in chunks of 3, the last one short
+        # 0: the budget holds less than one node, so each column is its own pass and each node its own chunk;
+        # 3: 3 nodes' worth of all 7 columns, so passes of one column, each with its 8 half-period nodes in one chunk
         U = sample_orthonormal_system(tr4, 7, seed=9)
         nj = np.linspace(0.2, 1.4, 7)
         monkeypatch.setattr(strichartz, "_CHUNK_ENTRIES", nt16 * grid4.size * len(nj))
@@ -172,6 +173,40 @@ class TestDensity:
         finally:
             tracemalloc.stop()
         assert peak < block_bytes, f"peak {peak / 2**20:.1f} MiB, one block {block_bytes / 2**20:.1f} MiB"
+
+    @pytest.mark.parametrize("n_t", [16, 33])
+    @pytest.mark.parametrize("n, K, M, N", [(1, 6, 48, 49), (2, 1, 16, 9)])
+    def test_column_passes_and_node_chunks_match_default_budget(self, n, K, M, N, n_t, monkeypatch):
+        # budgets, in nodes' worth of one column: 1 entry (one column per pass, one node per chunk); the
+        # parts and 3 nodes (one column per pass, chunks of 3 nodes); 3 columns' parts and half period
+        tr = Truncation(n, K)
+        grid = make_grid(n, default_half_width(n, K), M)
+        U = sample_orthonormal_system(tr, N, seed=17)
+        nj = np.linspace(2.0, 0.1, N)
+        whole = density(U, nj, tr, n_t, grid)
+        levels, half = K + 1, n_t // 2 if n_t % 2 == 0 else n_t
+        for budget in (1, (levels + 3) * grid.size, 3 * (levels + half) * grid.size):
+            monkeypatch.setattr(strichartz, "_CHUNK_ENTRIES", budget)
+            streamed = density(U, nj, tr, n_t, grid)
+            assert np.abs(streamed - whole).max() <= 1e-13 * whole.max(), budget
+
+    @pytest.mark.parametrize("n, K, M, N", [(1, 6, 48, 49), (1, 12, 64, 169), (2, 2, 16, 36)])
+    def test_memory_beyond_result_bounded_for_every_system_size(self, n, K, M, N, request):
+        # before the column passes the level parts of all N columns were held at once:
+        # 20.1, 147.9 and 144.5 MiB beyond the result at these sizes
+        request.addfinalizer(twisted._basis.cache_clear)
+        tr = Truncation(n, K)
+        grid = make_grid(n, default_half_width(n, K), M)
+        U = sample_orthonormal_system(tr, N, seed=0)
+        nj = np.linspace(0.1, 1.0, N)
+        density(U[:, :1], nj[:1], tr, 16, grid)  # builds the basis and imports what the first call imports
+        tracemalloc.start()
+        try:
+            result = density(U, nj, tr, 16, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - result.nbytes <= 12 * 2**20, f"{(peak - result.nbytes) / 2**20:.1f} MiB beyond the result"
 
     @pytest.mark.parametrize("n, K, M", [(1, 6, 48), (2, 2, 32)])
     def test_radial_family_matches_laguerre_addition_formula(self, n, K, M, request):
@@ -253,6 +288,27 @@ class TestRadialFamily:
                 radial_family_density(n, K, 1.0)
         with pytest.raises(ValueError, match="exponent"):
             radial_family_ratio(1, 4, 0.5)
+
+
+class TestGaussLegendre:
+    # _s_grid's nodes by Newton's method on the Legendre recurrence, against numpy's eigenvalue route
+
+    @pytest.mark.parametrize("K, m", [(0, 200), (64, 968), (256, 3272)])
+    def test_matches_leggauss(self, K, m):
+        s, w = strichartz._s_grid(K)
+        half_width = 2 * K + 40  # s = half_width * (x + 1)
+        x, w = s / half_width - 1.0, w / half_width
+        want_x, want_w = np.polynomial.legendre.leggauss(m)
+        assert np.abs(x - want_x).max() <= 1e-14
+        inner = np.abs(want_x) <= 0.9  # leggauss's own end weights are off by up to 2.7e-7 at m 3272
+        assert (np.abs(w - want_w) / want_w)[inner].max() <= 1e-11
+        assert abs(w.sum() - 2.0) <= 1e-14
+
+    def test_s_grid_at_k_256_is_fast(self):
+        # leggauss took 2.1 s for these 3272 nodes
+        start = time.perf_counter()
+        strichartz._s_grid.__wrapped__(256)
+        assert time.perf_counter() - start < 0.5
 
 
 class TestDensityNorm:
