@@ -83,15 +83,15 @@ def density(coeffs: np.ndarray, nj: np.ndarray, tr: Truncation, n_t: int, grid: 
     cols = max(1, _CHUNK_ENTRIES // (grid.size * (n_levels + half)))
     width = grid.size * min(cols, len(weights))  # entries per level or per node of the widest pass
     step = max(1, (_CHUNK_ENTRIES - n_levels * width) // max(1, width))
-    work = np.empty((n_levels + min(step, half)) * width, dtype=complex)  # reused by every pass
+    parts_buf, nodes_buf = np.empty(n_levels * width, dtype=complex), np.empty(min(step, half) * width, dtype=complex)
     out = np.zeros((n_t, grid.size))
     for first in range(0, len(weights), cols):
         w2 = np.repeat(weights[first : first + cols], 2)
         m = grid.size * len(w2) // 2
-        levels, parts = level_parts(coeffs[:, first : first + cols], tr, grid, out=work[: n_levels * m])
+        levels, parts = level_parts(coeffs[:, first : first + cols], tr, grid, out=parts_buf[: n_levels * m])
         for start in range(0, half, step):
             nodes = half_nodes[start : start + step]
-            buf = work[n_levels * m : (n_levels + len(nodes)) * m].reshape(len(nodes), m)
+            buf = nodes_buf[: len(nodes) * m].reshape(len(nodes), m)
             # |u|^2 = re^2 + im^2: square the interleaved parts in place, weight both by n_j
             sq = synthesize(levels, parts, nodes, out=buf).view(np.float64)
             sq *= sq
